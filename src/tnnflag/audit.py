@@ -69,8 +69,7 @@ def sample_tnn_flag(n: int, rng: random.Random, subset_mask: int) -> flag.BorelP
     w_0; the full mask samples the open positive part, proper subwords the
     boundary strata R_{w, w_0}.
     """
-    word = weyl.reduced_word(weyl.longest_element(n))
-    letters = [i for k, i in enumerate(word) if subset_mask >> k & 1]
+    letters = mask_letters(n, subset_mask)
     params = [_rand_pos_rat(rng) for _ in letters]
     return act(y_product(n, letters, params), b_plus(n))
 
@@ -84,22 +83,14 @@ def _all_index_subsets(n: int, size: int):
     return itertools.combinations(range(1, n + 1), size)
 
 
-def is_tnn_lower(u: Mat, rng: random.Random | None = None, sampled: int = 500) -> bool:
-    """All square minors nonnegative; exhaustive for n <= 4, sampled above."""
+def is_tnn_lower(u: Mat) -> bool:
+    """All square minors nonnegative, checked exhaustively."""
     n = len(u)
-    if n <= 4 or rng is None:
-        for k in range(1, n + 1):
-            for rows in _all_index_subsets(n, k):
-                for cols in _all_index_subsets(n, k):
-                    if linalg.minor(u, rows, cols) < 0:
-                        return False
-        return True
-    for _ in range(sampled):
-        k = rng.randint(1, n)
-        rows = sorted(rng.sample(range(1, n + 1), k))
-        cols = sorted(rng.sample(range(1, n + 1), k))
-        if linalg.minor(u, rows, cols) < 0:
-            return False
+    for k in range(1, n + 1):
+        for rows in _all_index_subsets(n, k):
+            for cols in _all_index_subsets(n, k):
+                if linalg.minor(u, rows, cols) < 0:
+                    return False
     return True
 
 
@@ -108,7 +99,7 @@ def semigroup_cell_of(u: Mat) -> Perm:
     n = len(u)
     if not linalg.is_lower_triangular(u) or any(u[i][i] != 1 for i in range(n)):
         raise NotTNN("matrix is not lower unitriangular")
-    if not is_tnn_lower(u, rng=random.Random(0) if n > 4 else None):
+    if not is_tnn_lower(u):
         raise NotTNN("negative minor found")
     return bruhat_factor_plus(u)[1]
 
@@ -180,7 +171,7 @@ def audit_semigroup(n: int, samples: int, seed: int) -> AuditReport:
             rng = _stream(seed, f"cell:{weyl.perm_to_str(w)}:{widx}")
             for _ in range(samples):
                 u = y_product(n, word, [_rand_pos_rat(rng) for _ in word])
-                tnn = is_tnn_lower(u, rng=rng if n > 4 else None)
+                tnn = is_tnn_lower(u)
                 ok = tnn and semigroup_cell_of(u) == w
                 report.record(ok, None if ok else {
                     "kind": "semigroup_cell", "w": weyl.perm_to_str(w),
@@ -194,7 +185,7 @@ def audit_semigroup(n: int, samples: int, seed: int) -> AuditReport:
         u2 = y_product(n, word0, [_rand_pos_rat(rng) for _ in word0])
         prod = mat_mul(u1, u2)
         ok = (
-            is_tnn_lower(prod, rng=rng if n > 4 else None)
+            is_tnn_lower(prod)
             and semigroup_cell_of(prod) == w0
         )
         report.record(ok, None if ok else {

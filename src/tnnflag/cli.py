@@ -121,6 +121,7 @@ def cmd_classify(args) -> int:
     if isinstance(rows, dict):
         rows = rows.get("borel_rep", rows)
     g = linalg.mat_from_json(rows)
+    _check_rank(len(g))
     b = flag.borel_from(g)
     result = richardson.classify(b, args.word_strategy)
     _emit(args, result.to_json())

@@ -6,6 +6,10 @@ canonical form is a column echelon modulo right multiplication by upper
 triangular matrices: bottom-most pivots are normalized to 1 and cleared
 rightward, and the last column is rescaled so the representative has
 determinant 1.
+
+The relative position of two flags is the Bruhat cell B^+ w B^+ of
+rep1^{-1} * rep2, read from ``linalg.bruhat_factor_plus``; the stratum of a
+flag is its pair of relative positions from B^+ and from B^-.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from functools import lru_cache
 
 from . import linalg, weyl
 from .errors import InternalInconsistency, Singular
-from .linalg import Mat, Rat, mat_mul, rank
+from .linalg import Mat, bruhat_factor_plus, mat_inv, mat_mul
 from .weyl import Perm
 
 
@@ -82,31 +86,8 @@ def act(g: Mat, b: BorelPt) -> BorelPt:
 
 
 def relative_position(b1: BorelPt, b2: BorelPt) -> Perm:
-    """The unique w with b1 --w--> b2.
-
-    Computed from the array r(i, j) = dim(span of the first i columns of
-    rep1 intersected with span of the first j columns of rep2): w(j) = i
-    exactly when the second difference of r at (i, j) equals 1.
-    """
-    n = b1.n
-    rows1 = b1.rep
-    rows2 = b2.rep
-    # r[i][j] = i + j - rank of the first i columns of rep1 next to the
-    # first j columns of rep2 (0-based sentinel row/column of zeros)
-    r = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if i == 0 or j == 0:
-                continue
-            stacked = [row1[:i] + row2[:j] for row1, row2 in zip(rows1, rows2)]
-            r[i][j] = i + j - rank(stacked)
-    images = [0] * n
-    for j in range(1, n + 1):
-        for i in range(1, n + 1):
-            if r[i][j] - r[i - 1][j] - r[i][j - 1] + r[i - 1][j - 1] == 1:
-                images[j - 1] = i
-                break
-    return weyl.validate_perm(images)
+    """The unique w with b1 --w--> b2: rep1^{-1} * rep2 lies in B^+ w B^+."""
+    return bruhat_factor_plus(mat_mul(mat_inv(b1.rep), b2.rep))[1]
 
 
 @dataclass(frozen=True)

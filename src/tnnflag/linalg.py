@@ -22,7 +22,9 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     from fractions import Fraction as Rat
 
 from . import weyl
-from .errors import IndexOutOfRange, NotInBigCell, ShapeMismatch, Singular
+from .errors import (
+    IndexOutOfRange, InternalInconsistency, NotInBigCell, ShapeMismatch, Singular,
+)
 from .weyl import Perm
 
 Mat = tuple[tuple, ...]
@@ -32,10 +34,14 @@ ONE = Rat(1)
 
 
 def rat(value) -> "Rat":
-    """Coerce ints, 'p/q' strings, or rationals to the exact rational type."""
-    if isinstance(value, str):
+    """Coerce ints, 'p/q' strings, or rationals to the exact rational type.
+
+    Anything else, a zero denominator included, raises ValueError.
+    """
+    try:
         return Rat(value)
-    return Rat(value)
+    except (TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"not an exact rational: {value!r}") from exc
 
 
 def rat_to_str(r) -> str:
@@ -67,13 +73,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def mat_prod(ms: Sequence[Mat], n: int) -> Mat:
-    out = identity_mat(n)
-    for m in ms:
-        out = mat_mul(out, m)
-    return out
 
 
 def transpose(a: Mat) -> Mat:
@@ -120,29 +119,6 @@ def mat_inv(a: Mat) -> Mat:
                 f = m[i][j]
                 m[i] = [x - f * y for x, y in zip(m[i], m[j])]
     return tuple(tuple(row[n:]) for row in m)
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a (not necessarily square) exact matrix."""
-    m = [list(row) for row in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    r = 0
-    for j in range(n_cols):
-        p = next((i for i in range(r, n_rows) if m[i][j] != 0), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        pivot = m[r][j]
-        for i in range(r + 1, n_rows):
-            if m[i][j] != 0:
-                f = m[i][j] / pivot
-                for k in range(j, n_cols):
-                    m[i][k] -= f * m[r][k]
-        r += 1
-        if r == n_rows:
-            break
-    return r
 
 
 def minor(m: Mat, rows: Iterable[int], cols: Iterable[int]) -> "Rat":
@@ -215,7 +191,11 @@ def rep_weyl(w: Perm) -> Mat:
 
 @lru_cache(maxsize=None)
 def rep_weyl_inv(w: Perm) -> Mat:
-    return mat_inv(rep_weyl(w))
+    """Inverse of rep_weyl(w), checked once when it enters the cache."""
+    inv = mat_inv(rep_weyl(w))
+    if mat_mul(rep_weyl(w), inv) != identity_mat(len(w)):
+        raise InternalInconsistency(f"rep_weyl({w}) times its inverse is not I")
+    return inv
 
 
 def y_product(n: int, letters: Sequence[int], params: Sequence) -> Mat:
@@ -248,7 +228,9 @@ def bruhat_factor_plus(g: Mat) -> tuple[Mat, Perm, Mat]:
     left to right, the pivot of column j is the largest not-yet-used row
     with a nonzero entry, which realizes the jump pattern of the ranks of
     the lower-left submatrices g[i..n, 1..j].  Reconstruction is verified
-    before returning.
+    before returning, as g = b1 * m on the eliminated matrix m: since
+    b2 = rep_weyl_inv(w) * m and rep_weyl_inv checks its inverse, this
+    proves g = b1 * rep_weyl(w) * b2.
     """
     n = len(g)
     m = [list(row) for row in g]
@@ -278,14 +260,9 @@ def bruhat_factor_plus(g: Mat) -> tuple[Mat, Perm, Mat]:
     b2 = mat_mul(rep_weyl_inv(w), n_m)
     if not (is_upper_triangular(b1_m) and is_upper_triangular(b2)):
         raise Singular("Bruhat factorization produced a non-triangular factor")
-    if mat_mul(b1_m, mat_mul(rep_weyl(w), b2)) != g:
+    if mat_mul(b1_m, n_m) != g:
         raise Singular("Bruhat factorization failed to reconstruct the input")
     return b1_m, w, b2
-
-
-def bruhat_word_plus(g: Mat) -> Perm:
-    """The w with g in B^+ rep(w) B^+ (the pivot pattern alone)."""
-    return bruhat_factor_plus(g)[1]
 
 
 def opposite_big_cell_factor(g: Mat) -> tuple[Mat, Mat]:
@@ -326,5 +303,8 @@ def mat_to_json(m: Mat) -> list[list[str]]:
     return [[rat_to_str(x) for x in row] for row in m]
 
 
-def mat_from_json(rows: Sequence[Sequence[str]]) -> Mat:
+def mat_from_json(rows: list[list[str]]) -> Mat:
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(row, list) for row in rows)):
+        raise ShapeMismatch("matrix must be a nonempty array of rows")
     return mat(tuple(tuple(rat(x) for x in row) for row in rows))

@@ -199,21 +199,17 @@ class Chart:
 
 @lru_cache(maxsize=None)
 def base_point(w: Perm) -> BorelPt:
-    """The single point of R_{w,w}, a W-conjugate of B^+.
+    """The single point of R_{w,w}: the W-conjugate w0 w * B^+ of B^+.
 
-    The published construction states the point once as w0 w^{-1} * B^+ and
-    once as w0 w * B^+; the two disagree as written, so both candidates are
-    evaluated and the one whose stratum is (w, w) is taken, verified at
-    construction time.
+    The published construction also states it as w0 w^{-1} * B^+, which
+    lies in another stratum when w != w^{-1}.  The stratum is verified
+    when the point enters the cache.
     """
     n = len(w)
-    w0rep = rep_weyl(weyl.longest_element(n))
-    for x in (w, weyl.inverse(w)):
-        cand = borel_from(mat_mul(w0rep, rep_weyl(x)))
-        idx = stratum(cand)
-        if idx.w == w and idx.wp == w:
-            return cand
-    raise InternalInconsistency(f"no candidate base point for {w} verifies")
+    b = borel_from(mat_mul(rep_weyl(weyl.longest_element(n)), rep_weyl(w)))
+    if stratum(b) != CellIndex(w, w):
+        raise InternalInconsistency(f"base point for {w} lies in {stratum(b)}")
+    return b
 
 
 @lru_cache(maxsize=None)

@@ -39,3 +39,48 @@ def subword_leq(u, w):
             if weyl.word_to_perm(n, [word[p] for p in positions]) == u:
                 return True
     return False
+
+
+def rank(rows):
+    """Rank of a (not necessarily square) exact matrix."""
+    m = [list(row) for row in rows]
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    r = 0
+    for j in range(n_cols):
+        p = next((i for i in range(r, n_rows) if m[i][j] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        pivot = m[r][j]
+        for i in range(r + 1, n_rows):
+            if m[i][j] != 0:
+                f = m[i][j] / pivot
+                for k in range(j, n_cols):
+                    m[i][k] -= f * m[r][k]
+        r += 1
+        if r == n_rows:
+            break
+    return r
+
+
+def rank_relative_position(b1, b2):
+    """Relative position oracle from dimensions of intersections.
+
+    r(i, j) = dim(span of the first i columns of rep1 intersected with the
+    span of the first j columns of rep2); w(j) = i exactly when the second
+    difference of r at (i, j) equals 1.
+    """
+    n = b1.n
+    r = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            stacked = [row1[:i] + row2[:j] for row1, row2 in zip(b1.rep, b2.rep)]
+            r[i][j] = i + j - rank(stacked)
+    images = [0] * n
+    for j in range(1, n + 1):
+        for i in range(1, n + 1):
+            if r[i][j] - r[i - 1][j] - r[i][j - 1] + r[i - 1][j - 1] == 1:
+                images[j - 1] = i
+                break
+    return weyl.validate_perm(images)

@@ -9,7 +9,7 @@ from tnnflag.audit import (
 )
 from tnnflag.errors import NotTNN, RankTooLarge
 from tnnflag.flag import b_plus
-from tnnflag.linalg import Rat, gen_y, identity_mat, mat_mul
+from tnnflag.linalg import Rat, gen_y, identity_mat, mat_mul, y_product
 
 
 class TestSampleTnnFlag:
@@ -38,6 +38,17 @@ class TestSemigroupCellOf:
 
     def test_negative_minor_rejected(self):
         u = mat_mul(gen_y(3, 1, 1), gen_y(3, 1, -2))
+        with pytest.raises(NotTNN):
+            semigroup_cell_of(u)
+
+    def test_negative_minor_rejected_n5(self):
+        # one of its 251 minors is negative (rows 2..5, columns 1..4), which
+        # a sampled check can miss
+        word = weyl.reduced_word(weyl.longest_element(5))
+        params = [Rat(-1, 50), Rat(1, 3), Rat(2, 7), Rat(3), Rat(5, 7),
+                  Rat(7, 2), Rat(1), Rat(7, 6), Rat(9, 5), Rat(9, 4)]
+        u = y_product(5, word, params)
+        assert not audit.is_tnn_lower(u)
         with pytest.raises(NotTNN):
             semigroup_cell_of(u)
 

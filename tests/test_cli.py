@@ -5,9 +5,14 @@ import pytest
 from tnnflag.cli import main
 
 
-def run(capsys, *argv):
+def run_err(capsys, *argv):
     code = main(list(argv))
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run(capsys, *argv):
+    code, out, _ = run_err(capsys, *argv)
     return code, out
 
 
@@ -50,6 +55,12 @@ class TestEval:
                       "--wp", "2,1", "--params", "0")
         assert code == 4
 
+    def test_zero_denominator_param(self, capsys):
+        code, out, err = run_err(capsys, "eval", "--n", "2", "--w", "1,2",
+                                 "--wp", "2,1", "--params", "1/0")
+        assert code == 5
+        assert out == "" and len(err.splitlines()) == 1
+
     def test_wrong_count(self, capsys):
         code, _ = run(capsys, "eval", "--n", "2", "--w", "1,2",
                       "--wp", "2,1", "--params", "1,2")
@@ -88,6 +99,29 @@ class TestClassify:
         f.write_text("not json")
         code, _ = run(capsys, "classify", str(f))
         assert code == 5
+
+    @pytest.mark.parametrize("text", [
+        '[["1/0","0"],["0","1"]]',
+        "[]",
+        "[1,2]",
+        '{"borel_rep": 5}',
+        '[[null,"0"],["0","1"]]',
+        '[[Infinity,"0"],["0","1"]]',
+    ])
+    def test_malformed_matrix(self, capsys, tmp_path, text):
+        f = tmp_path / "m.json"
+        f.write_text(text)
+        code, out, err = run_err(capsys, "classify", str(f))
+        assert code == 5
+        assert out == "" and len(err.splitlines()) == 1
+
+    def test_rank_bound(self, capsys, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps([[str(int(i == j)) for j in range(7)]
+                                 for i in range(7)]))
+        code, out, err = run_err(capsys, "classify", str(f))
+        assert code == 2
+        assert out == "" and len(err.splitlines()) == 1
 
     def test_non_det1(self, capsys, tmp_path):
         f = tmp_path / "m.json"

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from conftest import rand_rat, random_sl
-from tnnflag import flag, linalg, weyl
+from conftest import rand_params, rand_rat, random_sl, rank_relative_position
+from tnnflag import flag, linalg, richardson, weyl
 from tnnflag.errors import Singular
 from tnnflag.flag import (
     BorelPt, act, b_minus, b_plus, borel_from, codim_check, relative_position,
@@ -78,7 +78,7 @@ class TestRelativePosition:
         assert relative_position(b_minus(2), b) == weyl.simple(2, 1)
 
     def test_calibration_exhaustive(self):
-        # pins the orientation convention of the rank-array rule
+        # pins the orientation convention: B^+ --w--> w * B^+
         for n in (2, 3, 4):
             for w in weyl.all_perms(n):
                 b = act(rep_weyl(w), b_plus(n))
@@ -101,6 +101,23 @@ class TestRelativePosition:
                 b2 = borel_from(random_sl(n, rng))
                 assert relative_position(act(g, b1), act(g, b2)) == \
                     relative_position(b1, b2)
+
+    def test_agrees_with_rank_oracle(self):
+        # random flags, and chart images with mixed-sign parameters in
+        # sampled boundary cells and the open cell, each paired both ways
+        # with B^+, B^- and a random flag
+        for n in (2, 3, 4, 5):
+            rng = random.Random(20 + n)
+            pairs = weyl.bruhat_pairs(n)
+            points = [borel_from(random_sl(n, rng)) for _ in range(8)]
+            open_cell = (weyl.identity(n), weyl.longest_element(n))
+            for w, wp in rng.sample(pairs, min(len(pairs), 8)) + [open_cell]:
+                chart = richardson.build_chart(w, wp)
+                points.append(richardson.eval_chart(chart, rand_params(rng, chart.dim)))
+            for b in points:
+                for other in (b_plus(n), b_minus(n), borel_from(random_sl(n, rng))):
+                    assert relative_position(other, b) == rank_relative_position(other, b)
+                    assert relative_position(b, other) == rank_relative_position(b, other)
 
 
 class TestStratum:

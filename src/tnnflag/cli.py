@@ -173,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("audit", help="run the decomposition and semigroup audits")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help="rank, 2..4: the decomposition audit stops at n = 4")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     common(p)

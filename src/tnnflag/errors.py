@@ -19,7 +19,7 @@ class RankMismatch(TnnError):
 
 
 class RankTooLarge(TnnError):
-    """Requested rank exceeds the configured bound."""
+    """Requested rank exceeds the configured bound, or the bound is not an integer."""
 
 
 class NotComparable(TnnError):

@@ -5,7 +5,8 @@ representative, so that coset equality is plain tuple equality.  The
 canonical form is a column echelon modulo right multiplication by upper
 triangular matrices: bottom-most pivots are normalized to 1 and cleared
 rightward, and the last column is rescaled so the representative has
-determinant 1.
+determinant 1.  The determinant of the input is read from the same
+echelon.
 
 The relative position of two flags is the Bruhat cell B^+ w B^+ of
 rep1^{-1} * rep2, read from ``linalg.bruhat_factor_plus``; the stratum of a
@@ -19,7 +20,7 @@ from functools import lru_cache
 
 from . import linalg, weyl
 from .errors import InternalInconsistency, Singular
-from .linalg import Mat, bruhat_factor_plus, mat_inv, mat_mul
+from .linalg import Mat, bruhat_factor_plus, mat_inv, mat_mul, rep_weyl_inv
 from .weyl import Perm
 
 
@@ -41,33 +42,38 @@ class BorelPt:
         return borel_from(linalg.mat_from_json(data["borel_rep"]))
 
 
-def _canonicalize(g: Mat) -> Mat:
+def borel_from(g: Mat) -> BorelPt:
+    """The coset g * B^+; g must be invertible of determinant 1.
+
+    Column operations bring g to the canonical echelon.  Adding a multiple
+    of one column to another keeps the determinant and dividing a column
+    by its pivot f divides it by f, while the echelon itself has the
+    determinant of its pivot permutation, so det(g) = sgn(pivots) * prod(f)
+    without a separate elimination.
+    """
     n = len(g)
     cols = [[g[i][j] for i in range(n)] for j in range(n)]
     pivots: list[int] = []
+    scale = linalg.ONE
     for j in range(n):
         col = cols[j]
         for jp, p in enumerate(pivots):
             if col[p] != 0:
                 f = col[p]
-                col[:] = [x - f * y for x, y in zip(col, cols[jp])]
+                col[:] = [x - f * y if y else x for x, y in zip(col, cols[jp])]
         p = max((i for i in range(n) if col[i] != 0), default=None)
         if p is None:
-            raise Singular("columns are dependent")
+            raise Singular("representative must have determinant 1")
         f = col[p]
-        col[:] = [x / f for x in col]
+        col[:] = [x / f if x else x for x in col]
         pivots.append(p)
-    out = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    d = linalg.det(out)
-    cols[n - 1] = [x / d for x in cols[n - 1]]
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-def borel_from(g: Mat) -> BorelPt:
-    """The coset g * B^+; g must be invertible of determinant 1."""
-    if linalg.det(g) != 1:
+        scale *= f
+    odd = weyl.length(tuple(p + 1 for p in pivots)) % 2
+    if (-scale if odd else scale) != 1:
         raise Singular("representative must have determinant 1")
-    return BorelPt(_canonicalize(g))
+    if odd:
+        cols[n - 1] = [-x for x in cols[n - 1]]
+    return BorelPt(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
 
 
 @lru_cache(maxsize=None)
@@ -111,11 +117,15 @@ class CellIndex:
 
 
 def stratum(b: BorelPt) -> CellIndex:
-    """The (w, w') with b in R_{w,w'}: w from the B^+ side, w' from the B^- side."""
-    n = b.n
-    w0 = weyl.longest_element(n)
-    w = weyl.multiply(w0, relative_position(b_plus(n), b))
-    wp = relative_position(b_minus(n), b)
+    """The (w, w') with b in R_{w,w'}: w from the B^+ side, w' from the B^- side.
+
+    The rep of B^+ is the identity, and the rep of B^- is rep_weyl(w0) times
+    a diagonal sign matrix, which lies in B^+ and so leaves the Bruhat cell
+    alone: neither side inverts a rep.
+    """
+    w0 = weyl.longest_element(b.n)
+    w = weyl.multiply(w0, bruhat_factor_plus(b.rep)[1])
+    wp = bruhat_factor_plus(mat_mul(rep_weyl_inv(w0), b.rep))[1]
     return CellIndex(w, wp)
 
 

@@ -66,13 +66,24 @@ def identity_mat(n: int) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
+    """The product a * b, skipping every scalar product with a zero factor.
+
+    Signed permutations, Chevalley generators and triangular factors are
+    mostly zeros, so their products cost O(n) or O(n^2) operations.
+    """
     n = len(a)
     if len(b) != n:
         raise ShapeMismatch(f"sizes differ: {len(a)} vs {len(b)}")
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [ZERO] * n
+        for x, b_row in zip(row, b_nonzero):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def transpose(a: Mat) -> Mat:

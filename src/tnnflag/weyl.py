@@ -30,7 +30,13 @@ STRATEGIES = (SMALLEST, LARGEST)
 
 def max_rank() -> int:
     """Rank bound; overridable through the RTNN_MAX_RANK environment variable."""
-    return int(os.environ.get("RTNN_MAX_RANK", DEFAULT_MAX_RANK))
+    raw = os.environ.get("RTNN_MAX_RANK")
+    if raw is None:
+        return DEFAULT_MAX_RANK
+    try:
+        return int(raw)
+    except ValueError:
+        raise RankTooLarge(f"RTNN_MAX_RANK must be an integer, got {raw!r}") from None
 
 
 def validate_perm(images: Sequence[int]) -> Perm:

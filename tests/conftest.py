@@ -29,6 +29,21 @@ def random_sl(n: int, rng: random.Random):
     return g
 
 
+def ref_mat_mul(a, b):
+    """Plain dense triple-loop product: the reference for linalg.mat_mul."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            total = Rat(0)
+            for k in range(n):
+                total += a[i][k] * b[k][j]
+            row.append(total)
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def subword_leq(u, w):
     """Bruhat order oracle: u <= w iff u is a product of a subword of a
     reduced word of w (brute force over all subwords)."""

@@ -107,6 +107,19 @@ class TestAuditSemigroup:
         with pytest.raises(RankTooLarge):
             audit_semigroup(6, samples=1, seed=0)
 
+    def test_one_minor_check_per_matrix(self, monkeypatch):
+        calls = []
+        check = audit.is_tnn_lower
+        monkeypatch.setattr(audit, "is_tnn_lower", lambda u: calls.append(u) or check(u))
+        report = audit_semigroup(3, samples=2, seed=1)
+        assert len(calls) == report.samples_total
+
+    def test_negative_minor_is_a_failure(self, monkeypatch):
+        monkeypatch.setattr(audit, "is_tnn_lower", lambda u: False)
+        report = audit_semigroup(2, samples=2, seed=1)
+        assert report.samples_passed == 0
+        assert len(report.failures) == report.samples_total
+
 
 class TestReport:
     def test_json_shape(self):

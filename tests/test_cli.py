@@ -33,6 +33,13 @@ class TestCells:
         code, _ = run(capsys, "cells", "--n", "9")
         assert code == 2
 
+    def test_non_integer_rank_bound(self, capsys, monkeypatch):
+        monkeypatch.setenv("RTNN_MAX_RANK", "abc")
+        code, out, err = run_err(capsys, "cells", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "RTNN_MAX_RANK" in err
+
 
 class TestEval:
     def test_sl2_line(self, capsys):

@@ -2,14 +2,18 @@ import random
 
 import pytest
 
-from conftest import rand_params, rand_rat, random_sl, rank_relative_position
+from conftest import (
+    rand_params, rand_rat, random_sl, rank_relative_position, ref_mat_mul,
+)
 from tnnflag import flag, linalg, richardson, weyl
 from tnnflag.errors import Singular
 from tnnflag.flag import (
     BorelPt, act, b_minus, b_plus, borel_from, codim_check, relative_position,
     stratum,
 )
-from tnnflag.linalg import Rat, gen_x, gen_y, identity_mat, mat, mat_mul, rep_weyl
+from tnnflag.linalg import (
+    Rat, gen_x, gen_y, identity_mat, mat, mat_inv, mat_mul, rep_weyl,
+)
 
 
 class TestBorelFrom:
@@ -40,6 +44,50 @@ class TestBorelFrom:
         rng = random.Random(2)
         for _ in range(20):
             assert linalg.det(borel_from(random_sl(4, rng)).rep) == 1
+
+
+class TestBorelFromDeterminant:
+    """borel_from reads det(g) from its echelon; linalg.det is the reference."""
+
+    DET_ONE_MESSAGE = "representative must have determinant 1"
+    DETS = (Rat(1), Rat(-1), Rat(2), Rat(-1, 3))
+
+    def _inputs(self, n, rng):
+        # random elements of SL_n times rep_weyl(w) for a random w, so the
+        # pivot pattern varies, scaled to each determinant; then singular
+        # matrices with two proportional columns, and the zero matrix
+        for d in self.DETS:
+            for _ in range(6):
+                w = tuple(rng.sample(range(1, n + 1), n))
+                k = rng.randrange(n)
+                scale = mat([[d if i == j == k else int(i == j) for j in range(n)]
+                             for i in range(n)])
+                yield ref_mat_mul(ref_mat_mul(random_sl(n, rng), rep_weyl(w)), scale)
+        for _ in range(6):
+            g = [list(row) for row in random_sl(n, rng)]
+            j, k = rng.sample(range(n), 2)
+            f = rand_rat(rng)
+            for row in g:
+                row[j] = f * row[k]
+            yield mat(g)
+        yield mat([[0] * n for _ in range(n)])
+
+    def test_rejects_exactly_non_det1(self):
+        seen = set()
+        for n in (2, 3, 4, 5):
+            rng = random.Random(40 + n)
+            for g in self._inputs(n, rng):
+                d = linalg.det(g)
+                seen.add(d)
+                if d != 1:
+                    with pytest.raises(Singular) as exc:
+                        borel_from(g)
+                    assert str(exc.value) == self.DET_ONE_MESSAGE
+                    continue
+                rep = borel_from(g).rep
+                assert linalg.is_upper_triangular(ref_mat_mul(mat_inv(g), rep))
+                assert linalg.det(rep) == 1
+        assert seen == {*self.DETS, Rat(0)}
 
 
 class TestAct:
@@ -149,6 +197,22 @@ class TestStratum:
                      [0, Rat(1, 4), rand_rat(rng)],
                      [0, 0, 2]])
             assert stratum(act(t, b)).w == stratum(b).w
+
+
+    def test_agrees_with_rank_oracle(self):
+        # w from the B^+ side and w' from the B^- side, each by ranks
+        for n in (2, 3, 4, 5):
+            rng = random.Random(60 + n)
+            w0 = weyl.longest_element(n)
+            points = [borel_from(random_sl(n, rng)) for _ in range(8)]
+            for w, wp in rng.sample(weyl.bruhat_pairs(n), 8 if n > 2 else 3):
+                chart = richardson.build_chart(w, wp)
+                points.append(richardson.eval_chart(chart, rand_params(rng, chart.dim)))
+            for b in points:
+                expected = flag.CellIndex(
+                    weyl.multiply(w0, rank_relative_position(b_plus(n), b)),
+                    rank_relative_position(b_minus(n), b))
+                assert stratum(b) == expected
 
 
 class TestCodim:

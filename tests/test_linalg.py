@@ -2,8 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import rand_rat, random_sl
+from conftest import rand_rat, random_sl, ref_mat_mul
 from tnnflag import linalg, weyl
 from tnnflag.errors import IndexOutOfRange, NotInBigCell, ShapeMismatch, Singular
 from tnnflag.linalg import (
@@ -204,3 +205,62 @@ class TestSerialization:
         m = mat([[1, Rat(1, 2)], [Rat(-3, 4), 1]])
         assert linalg.mat_from_json(linalg.mat_to_json(m)) == m
         assert linalg.mat_to_json(m) == [["1", "1/2"], ["-3/4", "1"]]
+
+
+# Matrix families for the product test: mostly zeros, signed permutations,
+# unitriangular, and dense mixed-sign rationals with large numerators and
+# denominators.
+_small = st.builds(Rat, st.integers(-9, 9), st.integers(1, 9))
+_large = st.builds(Rat, st.integers(-10**30, 10**30), st.integers(1, 10**30))
+
+
+@st.composite
+def _mostly_zero(draw, n):
+    entries = [[Rat(0)] * n for _ in range(n)]
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j in draw(st.lists(cells, max_size=n + 1)):
+        entries[i][j] = draw(_small)
+    return mat(entries)
+
+
+@st.composite
+def _signed_perm(draw, n):
+    images = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return mat([[signs[i] if images[i] == j else 0 for j in range(n)]
+                for i in range(n)])
+
+
+@st.composite
+def _unitriangular(draw, n):
+    lower = draw(st.booleans())
+    return mat([[1 if i == j else draw(_small) if (i > j) == lower else 0
+                 for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def _dense(draw, n):
+    return mat([[draw(_large) for _ in range(n)] for _ in range(n)])
+
+
+_FAMILIES = {
+    "mostly_zero": _mostly_zero, "signed_perm": _signed_perm,
+    "unitriangular": _unitriangular, "dense": _dense,
+}
+
+
+class TestMatMul:
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_reference(self, family, data):
+        n = data.draw(st.integers(1, 6))
+        a = data.draw(_FAMILIES[family](n))
+        b = data.draw(st.sampled_from(sorted(_FAMILIES)).flatmap(
+            lambda other: _FAMILIES[other](n)))
+        assert mat_mul(a, b) == ref_mat_mul(a, b)
+        assert mat_mul(b, a) == ref_mat_mul(b, a)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            mat_mul(identity_mat(2), identity_mat(3))

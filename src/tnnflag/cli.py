@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 audit found failures, 2 invalid rank, 3 parameter
 count mismatch, 4 zero parameter, 5 parse error, 6 singular or non-det-1
-input matrix.
+input matrix, 7 internal error (a contract that holds by construction was
+violated).
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import sys
 
 from . import audit, flag, linalg, richardson, weyl
 from .errors import (
-    ParamCountMismatch, RankTooLarge, Singular, TnnError, ZeroParameter,
+    InternalInconsistency, ParamCountMismatch, RankTooLarge, Singular,
+    TnnError, ZeroParameter,
 )
 
 EXIT_AUDIT_FAILURES = 1
@@ -22,6 +24,19 @@ EXIT_PARAM_COUNT = 3
 EXIT_ZERO_PARAM = 4
 EXIT_PARSE = 5
 EXIT_SINGULAR = 6
+EXIT_INTERNAL = 7
+
+# Every error main reports; the first entry of EXIT_CODES whose class
+# matches gives the exit code.
+HANDLED = (ValueError, OSError, TnnError)
+EXIT_CODES = (
+    (RankTooLarge, EXIT_BAD_RANK),
+    (ParamCountMismatch, EXIT_PARAM_COUNT),
+    (ZeroParameter, EXIT_ZERO_PARAM),
+    (Singular, EXIT_SINGULAR),
+    (InternalInconsistency, EXIT_INTERNAL),
+    (HANDLED, EXIT_PARSE),
+)
 
 
 def _check_rank(n: int) -> None:
@@ -187,24 +202,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RankTooLarge as exc:
+    except HANDLED as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_BAD_RANK
-    except ParamCountMismatch as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARAM_COUNT
-    except ZeroParameter as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_ZERO_PARAM
-    except Singular as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SINGULAR
-    except (json.JSONDecodeError, ValueError, OSError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
-    except TnnError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -128,8 +128,3 @@ def stratum(b: BorelPt) -> CellIndex:
     wp = bruhat_factor_plus(mat_mul(rep_weyl_inv(w0), b.rep))[1]
     return CellIndex(w, wp)
 
-
-def codim_check(b: BorelPt) -> tuple[int, int]:
-    """(l(w), l(w') - l(w)) for the stratum of b; the second is the local dimension."""
-    idx = stratum(b)
-    return weyl.length(idx.w), idx.dim()

@@ -5,10 +5,10 @@ is used when available (it is markedly faster), with ``fractions.Fraction``
 as a drop-in fallback; the two are interchangeable value types.
 
 Chevalley generators x_i(a), y_i(a) and the pinned simple-reflection
-representatives live here, together with the two factorizations everything
+representatives live here, together with the one factorization everything
 geometric reduces to: the Bruhat factorization g = b1 * rep(w) * b2 with
-b1, b2 upper triangular, and the opposite-big-cell factorization extracting
-the unique upper-unitriangular witness of a Borel opposite to B^-.
+b1, b2 upper triangular.  The unique upper-unitriangular witness of a
+Borel opposite to B^- is its b1 when w = w0.
 """
 
 from __future__ import annotations
@@ -150,10 +150,6 @@ def is_lower_triangular(m: Mat) -> bool:
     return all(m[i][j] == 0 for i in range(len(m)) for j in range(i + 1, len(m)))
 
 
-def is_upper_unitriangular(m: Mat) -> bool:
-    return is_upper_triangular(m) and all(m[i][i] == 1 for i in range(len(m)))
-
-
 # ---------------------------------------------------------------------------
 # Chevalley generators and pinned Weyl representatives
 
@@ -219,15 +215,6 @@ def y_product(n: int, letters: Sequence[int], params: Sequence) -> Mat:
     return rows
 
 
-def x_product(n: int, letters: Sequence[int], params: Sequence) -> Mat:
-    if len(letters) != len(params):
-        raise ShapeMismatch("letters and parameters differ in count")
-    rows = identity_mat(n)
-    for i, a in zip(letters, params):
-        rows = mat_mul(rows, gen_x(n, i, a))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Factorizations
 
@@ -276,34 +263,19 @@ def bruhat_factor_plus(g: Mat) -> tuple[Mat, Perm, Mat]:
     return b1_m, w, b2
 
 
-def opposite_big_cell_factor(g: Mat) -> tuple[Mat, Mat]:
-    """Split g * rep_weyl(w0)^{-1} = x * rest, x upper unitriangular, rest lower.
+def opposite_big_cell_factor(g: Mat) -> Mat:
+    """The unique upper-unitriangular x with g * B^+ = x * B^-.
 
-    Then x * B^- equals the Borel g * B^+, viewed in the big cell opposite
-    B^-.  Raises NotInBigCell when a required trailing principal minor
-    vanishes (the factorization does not exist).
+    x is the left factor of the Bruhat factorization g = x * rep_weyl(w0) * b,
+    unitriangular because bruhat_factor_plus only subtracts multiples of a
+    pivot row from rows above it.  Raises NotInBigCell when g is not in the
+    cell of w0, that is when a trailing principal minor of
+    g * rep_weyl(w0)^{-1} vanishes.
     """
-    n = len(g)
-    w0 = weyl.longest_element(n)
-    m = [list(row) for row in mat_mul(g, rep_weyl_inv(w0))]
-    x = [list(row) for row in identity_mat(n)]
-    for j in range(n - 1, -1, -1):
-        if m[j][j] == 0:
-            raise NotInBigCell("trailing principal minor vanishes")
-        for i in range(j):
-            if m[i][j] != 0:
-                f = m[i][j] / m[j][j]
-                for k in range(n):
-                    m[i][k] -= f * m[j][k]
-                # x := x * (I + f e_{i,j})
-                for r in range(n):
-                    if x[r][i] != 0:
-                        x[r][j] += f * x[r][i]
-    x_m = tuple(tuple(row) for row in x)
-    rest = tuple(tuple(row) for row in m)
-    if not (is_upper_unitriangular(x_m) and is_lower_triangular(rest)):
-        raise NotInBigCell("big-cell factorization produced malformed factors")
-    return x_m, rest
+    x, w, _ = bruhat_factor_plus(g)
+    if w != weyl.longest_element(len(g)):
+        raise NotInBigCell("trailing principal minor vanishes")
+    return x
 
 
 # ---------------------------------------------------------------------------

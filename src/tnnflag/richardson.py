@@ -15,17 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import flag, linalg, weyl
 from .errors import (
     InternalInconsistency, LengthNotAdditive, NotComparable, NotInChartImage,
     ParamCountMismatch, TnnError, WrongCell, WrongStratum, ZeroParameter,
 )
-from .flag import BorelPt, CellIndex, act, b_minus, b_plus, borel_from, stratum
+from .flag import BorelPt, CellIndex, act, borel_from, stratum
 from .linalg import (
     Mat, Rat, bruhat_factor_plus, gen_x, mat_inv, mat_mul, rep_weyl,
-    rep_weyl_inv, x_product, y_product,
+    rep_weyl_inv, y_product,
 )
 from .weyl import Perm, Word
 
@@ -70,38 +70,6 @@ def pi(w: Perm, wp: Perm, s_index: int, b: BorelPt) -> BorelPt:
 
 
 # ---------------------------------------------------------------------------
-# Key Example charts for R_{1,w'} and R_{w,w_0}
-
-
-def key_chart_upper(wp: Perm) -> tuple[Word, Callable[[Sequence], BorelPt]]:
-    """Reduced word of w0 w' w0 and params -> x-product * B^-, covering R_{1,w'}."""
-    n = len(wp)
-    w0 = weyl.longest_element(n)
-    word = weyl.reduced_word(weyl.multiply(weyl.multiply(w0, wp), w0))
-
-    def evaluate(params: Sequence) -> BorelPt:
-        if len(params) != len(word):
-            raise ParamCountMismatch(f"expected {len(word)} parameters")
-        return act(x_product(n, word, params), b_minus(n))
-
-    return word, evaluate
-
-
-def key_chart_lower(w: Perm) -> tuple[Word, Callable[[Sequence], BorelPt]]:
-    """Reduced word of w0 w and params -> y-product * B^+, covering R_{w,w_0}."""
-    n = len(w)
-    w0 = weyl.longest_element(n)
-    word = weyl.reduced_word(weyl.multiply(w0, w))
-
-    def evaluate(params: Sequence) -> BorelPt:
-        if len(params) != len(word):
-            raise ParamCountMismatch(f"expected {len(word)} parameters")
-        return act(y_product(n, word, params), b_plus(n))
-
-    return word, evaluate
-
-
-# ---------------------------------------------------------------------------
 # psi and its inverse
 
 
@@ -125,7 +93,7 @@ def _psi_with(y: Mat, y_inv: Mat, s_index: int, b: BorelPt, a) -> BorelPt:
     if a == 0:
         raise ZeroParameter("chart parameters must be nonzero")
     b1 = act(y, b)
-    x, _rest = linalg.opposite_big_cell_factor(b1.rep)
+    x = linalg.opposite_big_cell_factor(b1.rep)
     ip = n - s_index  # w0 s_i w0 = s_{n-i}
     w0rep = rep_weyl(weyl.longest_element(n))
     return borel_from(mat_mul(y_inv, mat_mul(x, mat_mul(gen_x(n, ip, a), w0rep))))
@@ -146,12 +114,13 @@ def _psi_inv_with(
 ) -> tuple[BorelPt, "Rat"]:
     n = b.n
     p = pi(w, wp, s_index, b)
-    x_full, _ = linalg.opposite_big_cell_factor(act(y, b).rep)
-    x_partial, _ = linalg.opposite_big_cell_factor(act(y, p).rep)
-    residual = mat_mul(mat_inv(x_partial), x_full)
+    x_full = linalg.opposite_big_cell_factor(act(y, b).rep)
+    x_partial = linalg.opposite_big_cell_factor(act(y, p).rep)
+    # x_partial is unitriangular, so x_full = x_partial * x_{i'}(a) forces
+    # a to be the difference of their (i', i'+1) entries
     ip = n - s_index
-    a = residual[ip - 1][ip]
-    if residual != gen_x(n, ip, a) or a == 0:
+    a = x_full[ip - 1][ip] - x_partial[ip - 1][ip]
+    if a == 0 or mat_mul(x_partial, gen_x(n, ip, a)) != x_full:
         raise NotInChartImage("residual is not a single x_{i'}(a) with a != 0")
     return p, a
 

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from tnnflag import weyl
-from tnnflag.linalg import Rat, gen_x, gen_y, mat_mul, identity_mat
+from tnnflag import linalg, weyl
+from tnnflag.errors import ParamCountMismatch, ShapeMismatch
+from tnnflag.flag import act, b_minus, b_plus, stratum
+from tnnflag.linalg import Rat, gen_x, gen_y, mat_mul, identity_mat, y_product
 
 
 def rand_rat(rng: random.Random, positive: bool = False):
@@ -99,3 +101,51 @@ def rank_relative_position(b1, b2):
                 images[j - 1] = i
                 break
     return weyl.validate_perm(images)
+
+
+def is_upper_unitriangular(m):
+    return linalg.is_upper_triangular(m) and all(m[i][i] == 1 for i in range(len(m)))
+
+
+def x_product(n, letters, params):
+    """x_{letters[0]}(params[0]) * ... * x_{letters[-1]}(params[-1])."""
+    if len(letters) != len(params):
+        raise ShapeMismatch("letters and parameters differ in count")
+    rows = identity_mat(n)
+    for i, a in zip(letters, params):
+        rows = mat_mul(rows, gen_x(n, i, a))
+    return rows
+
+
+def key_chart_upper(wp):
+    """Reduced word of w0 w' w0 and params -> x-product * B^-, covering R_{1,w'}."""
+    n = len(wp)
+    w0 = weyl.longest_element(n)
+    word = weyl.reduced_word(weyl.multiply(weyl.multiply(w0, wp), w0))
+
+    def evaluate(params):
+        if len(params) != len(word):
+            raise ParamCountMismatch(f"expected {len(word)} parameters")
+        return act(x_product(n, word, params), b_minus(n))
+
+    return word, evaluate
+
+
+def key_chart_lower(w):
+    """Reduced word of w0 w and params -> y-product * B^+, covering R_{w,w_0}."""
+    n = len(w)
+    w0 = weyl.longest_element(n)
+    word = weyl.reduced_word(weyl.multiply(w0, w))
+
+    def evaluate(params):
+        if len(params) != len(word):
+            raise ParamCountMismatch(f"expected {len(word)} parameters")
+        return act(y_product(n, word, params), b_plus(n))
+
+    return word, evaluate
+
+
+def codim_check(b):
+    """(l(w), l(w') - l(w)) for the stratum of b; the second is the local dimension."""
+    idx = stratum(b)
+    return weyl.length(idx.w), idx.dim()

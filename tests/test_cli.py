@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from tnnflag import richardson
 from tnnflag.cli import main
+from tnnflag.errors import InternalInconsistency
 
 
 def run_err(capsys, *argv):
@@ -169,3 +171,15 @@ class TestOutputIsJson:
         code, out = run(capsys, *argv)
         assert code == 0
         json.loads(out)
+
+
+class TestInternalError:
+    def test_exit_7(self, capsys, monkeypatch):
+        def broken(*args):
+            raise InternalInconsistency("chart contract violated")
+
+        monkeypatch.setattr(richardson, "build_chart", broken)
+        code, out, err = run_err(capsys, "cells", "--n", "2")
+        assert code == 7
+        assert out == ""
+        assert err == "chart contract violated\n"

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from conftest import (
-    rand_params, rand_rat, random_sl, rank_relative_position, ref_mat_mul,
+    codim_check, rand_params, rand_rat, random_sl, rank_relative_position,
+    ref_mat_mul,
 )
 from tnnflag import flag, linalg, richardson, weyl
 from tnnflag.errors import Singular
 from tnnflag.flag import (
-    BorelPt, act, b_minus, b_plus, borel_from, codim_check, relative_position,
-    stratum,
+    BorelPt, act, b_minus, b_plus, borel_from, relative_position, stratum,
 )
 from tnnflag.linalg import (
     Rat, gen_x, gen_y, identity_mat, mat, mat_inv, mat_mul, rep_weyl,

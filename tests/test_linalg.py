@@ -4,9 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rand_rat, random_sl, ref_mat_mul
-from tnnflag import linalg, weyl
+from conftest import is_upper_unitriangular, rand_rat, random_sl, ref_mat_mul
+from tnnflag import linalg, richardson, weyl
 from tnnflag.errors import IndexOutOfRange, NotInBigCell, ShapeMismatch, Singular
+from tnnflag.flag import act, borel_from
 from tnnflag.linalg import (
     Rat, bruhat_factor_plus, det, gen_x, gen_y, identity_mat, mat, mat_inv,
     mat_mul, minor, opposite_big_cell_factor, rep_simple, rep_weyl, y_product,
@@ -140,13 +141,55 @@ class TestBruhatFactor:
                 assert mat_mul(b1, mat_mul(rep_weyl(w), b2)) == g
 
 
+def _scaled_to_det_one(entries):
+    """The matrix with its first column divided by its determinant, or None."""
+    d = det(mat(entries))
+    if d == 0:
+        return None
+    return mat([[x / d if j == 0 else x for j, x in enumerate(row)]
+                for row in entries])
+
+
+def _dense_sl(n, rng):
+    """Large numerators and denominators of both signs in every entry."""
+    while True:
+        entries = [[Rat(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
+                    for _ in range(n)] for _ in range(n)]
+        g = _scaled_to_det_one(entries)
+        if g is not None:
+            return g
+
+
+def _mostly_zero_sl(n, rng):
+    """A signed permutation matrix with up to n extra nonzero entries."""
+    while True:
+        images = rng.sample(range(n), n)
+        entries = [[Rat(rng.choice((1, -1))) if images[i] == j else Rat(0)
+                    for j in range(n)] for i in range(n)]
+        for _ in range(rng.randint(0, n)):
+            entries[rng.randrange(n)][rng.randrange(n)] = rand_rat(rng)
+        g = _scaled_to_det_one(entries)
+        if g is not None:
+            return g
+
+
+def _conjugated_chart_image(n, rng):
+    """y * b for a mixed-sign chart image b and a positive y-conjugator, as in psi."""
+    pairs = weyl.bruhat_pairs(n)
+    w, wp = pairs[rng.randrange(len(pairs))]
+    chart = richardson.build_chart(w, wp)
+    b = richardson.eval_chart(chart, [rand_rat(rng) for _ in range(chart.dim)])
+    word = richardson.conjugator_word(w)
+    return act(y_product(n, word, [Rat(1)] * len(word)), b).rep
+
+
 class TestOppositeBigCell:
     def test_w0_rep(self):
-        x, rest = opposite_big_cell_factor(rep_weyl(weyl.longest_element(3)))
+        x = opposite_big_cell_factor(rep_weyl(weyl.longest_element(3)))
         assert x == identity_mat(3)
 
     def test_sl2_line(self):
-        x, _ = opposite_big_cell_factor(gen_y(2, 1, 1))
+        x = opposite_big_cell_factor(gen_y(2, 1, 1))
         assert x == gen_x(2, 1, 1)
 
     def test_identity_not_in_big_cell(self):
@@ -159,12 +202,35 @@ class TestOppositeBigCell:
         for _ in range(50):
             g = random_sl(3, rng)
             try:
-                x, rest = opposite_big_cell_factor(g)
+                x = opposite_big_cell_factor(g)
             except NotInBigCell:
                 continue
-            assert linalg.is_upper_unitriangular(x)
+            assert is_upper_unitriangular(x)
+            rest = mat_mul(mat_mul(mat_inv(x), g), w0_inv)
             assert linalg.is_lower_triangular(rest)
-            assert mat_mul(x, rest) == mat_mul(g, w0_inv)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_against_minor_oracle(self, n):
+        # g is in B^+ w0 B^+ iff every lower-left k x k minor, k < n, is
+        # nonzero; the oracle shares no code with the factorization
+        rng = random.Random(40 + n)
+        w0 = weyl.longest_element(n)
+        inputs = [_dense_sl(n, rng) for _ in range(15)]
+        inputs += [_mostly_zero_sl(n, rng) for _ in range(30)]
+        inputs += [_conjugated_chart_image(n, rng) for _ in range(15)]
+        outcomes = set()
+        for g in inputs:
+            in_cell = all(minor(g, range(n - k + 1, n + 1), range(1, k + 1)) != 0
+                          for k in range(1, n))
+            outcomes.add(in_cell)
+            if not in_cell:
+                with pytest.raises(NotInBigCell):
+                    opposite_big_cell_factor(g)
+                continue
+            x = opposite_big_cell_factor(g)
+            assert is_upper_unitriangular(x)
+            assert borel_from(mat_mul(x, rep_weyl(w0))) == borel_from(g)
+        assert outcomes == {True, False}
 
 
 class TestTNNSemigroupMinors:

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
-from conftest import rand_params, rand_rat
+from conftest import key_chart_lower, key_chart_upper, rand_params, rand_rat
 from tnnflag import linalg, richardson, weyl
 from tnnflag.errors import (
     NotInBigCell, NotInChartImage, ParamCountMismatch, WrongStratum,
@@ -12,8 +13,7 @@ from tnnflag.flag import CellIndex, act, b_minus, b_plus, borel_from, stratum
 from tnnflag.linalg import Rat, gen_x, gen_y, mat_mul, rep_weyl, y_product
 from tnnflag.richardson import (
     base_point, build_chart, classify, conjugator_word, eval_chart,
-    invert_chart, key_chart_lower, key_chart_upper, phi_down, phi_up, pi, psi,
-    psi_inv,
+    invert_chart, phi_down, phi_up, pi, psi, psi_inv,
 )
 
 
@@ -31,6 +31,17 @@ def splits(wp):
         u = weyl.word_to_perm(n, word[:j])
         v = weyl.word_to_perm(n, word[j:])
         yield u, v
+
+
+def _descent_pairs(n):
+    """Every (w, w', i) with w s_i > w, w' s_i < w' and w <= w'."""
+    return [(w, wp, i) for w, wp in weyl.bruhat_pairs(n) for i in range(1, n)
+            if weyl.is_right_ascent(w, i) and not weyl.is_right_ascent(wp, i)]
+
+
+_nonzero_rat = st.builds(
+    lambda p, q, negative: Rat(-p if negative else p, q),
+    st.integers(1, 10**20), st.integers(1, 10**20), st.booleans())
 
 
 class TestPhiDown:
@@ -197,6 +208,23 @@ class TestPsiInv:
                 a = rand_rat(rng)
                 out = psi(w, wp, i, b, a)
                 assert psi_inv(w, wp, i, out) == (b, a)
+
+    # each example sweeps every descent pair, so shrinking a failure would
+    # replay hundreds of sweeps; the unshrunk draws are reported instead
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @settings(max_examples=4, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(data=st.data())
+    def test_roundtrip_every_descent_pair(self, n, data):
+        # mixed-sign inner points and values of a, with large numerators
+        # and denominators
+        for w, wp, i in _descent_pairs(n):
+            chart = build_chart(w, weyl.right_mult_simple(wp, i))
+            params = data.draw(st.lists(_nonzero_rat, min_size=chart.dim,
+                                        max_size=chart.dim))
+            b = eval_chart(chart, params)
+            a = data.draw(_nonzero_rat)
+            assert psi_inv(w, wp, i, psi(w, wp, i, b, a)) == (b, a)
 
     def test_b_plus_not_in_cell(self):
         with pytest.raises((NotInBigCell, NotInChartImage)):

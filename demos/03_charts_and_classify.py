@@ -22,7 +22,7 @@ def main() -> None:
     wp = weyl.longest_element(n)
     chart = build_chart(w, wp)
     print(f"Chart for the open cell (e, w0) in rank {n}: dimension {chart.dim}")
-    print(json.dumps(chart.to_json(), indent=2, sort_keys=True))
+    print("steps, from the outside in:", chart.shape())
 
     params = (Rat(1), Rat(1, 2), Rat(3))
     b = eval_chart(chart, params)

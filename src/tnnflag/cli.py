@@ -74,14 +74,14 @@ def cmd_cells(args) -> int:
     cells = []
     top_dim = 0
     for w, wp in weyl.bruhat_pairs(args.n):
-        chart = richardson.build_chart(w, wp, args.word_strategy)
+        chart = richardson.build_chart(w, wp)
         if chart.dim > top_dim:
             top_dim = chart.dim
         cells.append({
             "w": weyl.perm_to_str(w),
             "wp": weyl.perm_to_str(wp),
             "dim": chart.dim,
-            "shape": _chart_shape(chart),
+            "shape": chart.shape(),
         })
     payload = {
         "n": args.n,
@@ -93,25 +93,11 @@ def cmd_cells(args) -> int:
     return 0
 
 
-def _chart_shape(chart: richardson.Chart) -> str:
-    parts = []
-    node = chart
-    while node is not None:
-        if node.kind == "base":
-            parts.append("base")
-        elif node.kind == "peel":
-            parts.append(f"peel({weyl.perm_to_str(node.v)})")
-        else:
-            parts.append(f"extend(s{node.s_index})")
-        node = node.inner
-    return " -> ".join(parts)
-
-
 def cmd_eval(args) -> int:
     _check_rank(args.n)
     w = _parse_perm(args.n, args.w, args.format)
     wp = _parse_perm(args.n, args.wp, args.format)
-    chart = richardson.build_chart(w, wp, args.word_strategy)
+    chart = richardson.build_chart(w, wp)
     params = _parse_params(args.params)
     b = richardson.eval_chart(chart, params)
     payload = {
@@ -138,7 +124,7 @@ def cmd_classify(args) -> int:
     g = linalg.mat_from_json(rows)
     _check_rank(len(g))
     b = flag.borel_from(g)
-    result = richardson.classify(b, args.word_strategy)
+    result = richardson.classify(b)
     _emit(args, result.to_json())
     return 0
 
@@ -165,8 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--output", default="-", help="output path, '-' for stdout")
-        p.add_argument("--word-strategy", dest="word_strategy",
-                       choices=list(weyl.STRATEGIES), default=weyl.SMALLEST)
 
     p = sub.add_parser("cells", help="list all cells with chart summaries")
     p.add_argument("--n", type=int, required=True)

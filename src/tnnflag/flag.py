@@ -96,7 +96,7 @@ def relative_position(b1: BorelPt, b2: BorelPt) -> Perm:
     return bruhat_factor_plus(mat_mul(mat_inv(b1.rep), b2.rep))[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellIndex:
     """Label (w, w') of the stratum R_{w,w'}; always w <= w'."""
 

@@ -1,28 +1,28 @@
-"""Recursive positivity charts for the strata R_{w,w'} and the classifier.
+"""Positivity charts for the strata R_{w,w'} and the classifier.
 
-The chart for a pair w <= w' is built by alternating two moves until the
-pair collapses to w = w': "peeling" by a maximal length-additive v, which
-transports R_{w,w'} isomorphically to R_{wv,w'v} without adding
-coordinates, and "extending" along a simple reflection s with w <= ws and
-w's <= w', which adds one coordinate through the map psi.  Evaluating the
-chart on positive parameters lands in the totally nonnegative part of the
-stratum; inverting it, when possible, recovers the coordinates of any
-rational flag, and the classifier decides nonnegativity from the signs
-after confirming an exact round trip.
+The chart for a pair w <= w' alternates two moves until the pair collapses
+to w = w': "peeling" by the maximal length-additive v, which transports
+R_{w,w'} isomorphically to R_{wv,w'v} without adding coordinates, and
+"extending" along the smallest s with w <= ws and w's <= w', which adds one
+coordinate through the map psi.  Both choices are canonical, so a chart is
+a base point and its list of steps outward: evaluation folds forward over
+the steps and inversion backward.  Positive parameters land in the totally
+nonnegative part of the stratum; the classifier inverts the chart of any
+rational flag and decides from the signs after an exact round trip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
-from . import flag, linalg, weyl
+from . import linalg, weyl
 from .errors import (
     InternalInconsistency, LengthNotAdditive, NotComparable, NotInChartImage,
     ParamCountMismatch, TnnError, WrongCell, WrongStratum, ZeroParameter,
 )
-from .flag import BorelPt, CellIndex, act, borel_from, stratum
+from .flag import BorelPt, CellIndex, borel_from, stratum
 from .linalg import (
     Mat, Rat, bruhat_factor_plus, gen_x, mat_inv, mat_mul, rep_weyl,
     rep_weyl_inv, y_product,
@@ -74,12 +74,13 @@ def pi(w: Perm, wp: Perm, s_index: int, b: BorelPt) -> BorelPt:
 
 
 @lru_cache(maxsize=None)
-def conjugator_word(w: Perm, strategy: str = weyl.SMALLEST) -> Word:
-    """Reduced word of w0 w^{-1} w0, used to build the conjugating y-element."""
+def conjugator_word(w: Perm) -> Word:
+    """Reduced word of w0 w^{-1} w0, used to build the conjugating y-element.
+
+    psi gives the same point for the conjugator of every reduced word.
+    """
     w0 = weyl.longest_element(len(w))
-    return weyl.reduced_word(
-        weyl.multiply(weyl.multiply(w0, weyl.inverse(w)), w0), strategy
-    )
+    return weyl.reduced_word(weyl.multiply(weyl.multiply(w0, weyl.inverse(w)), w0))
 
 
 @lru_cache(maxsize=None)
@@ -92,8 +93,9 @@ def _psi_with(y: Mat, y_inv: Mat, s_index: int, b: BorelPt, a) -> BorelPt:
     n = b.n
     if a == 0:
         raise ZeroParameter("chart parameters must be nonzero")
-    b1 = act(y, b)
-    x = linalg.opposite_big_cell_factor(b1.rep)
+    # the big-cell witness depends only on the coset, so y * rep needs no
+    # canonical form
+    x = linalg.opposite_big_cell_factor(mat_mul(y, b.rep))
     ip = n - s_index  # w0 s_i w0 = s_{n-i}
     w0rep = rep_weyl(weyl.longest_element(n))
     return borel_from(mat_mul(y_inv, mat_mul(x, mat_mul(gen_x(n, ip, a), w0rep))))
@@ -114,8 +116,8 @@ def _psi_inv_with(
 ) -> tuple[BorelPt, "Rat"]:
     n = b.n
     p = pi(w, wp, s_index, b)
-    x_full = linalg.opposite_big_cell_factor(act(y, b).rep)
-    x_partial = linalg.opposite_big_cell_factor(act(y, p).rep)
+    x_full = linalg.opposite_big_cell_factor(mat_mul(y, b.rep))
+    x_partial = linalg.opposite_big_cell_factor(mat_mul(y, p.rep))
     # x_partial is unitriangular, so x_full = x_partial * x_{i'}(a) forces
     # a to be the difference of their (i', i'+1) entries
     ip = n - s_index
@@ -135,35 +137,28 @@ def psi_inv(w: Perm, wp: Perm, s_index: int, b: BorelPt) -> tuple[BorelPt, "Rat"
 # Charts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chart:
-    """Recursive chart for R_{w,w'}: a base point wrapped in peel/extend steps."""
+    """Chart for R_{w,w'}: the base point of R_{u,u} and the steps out of it.
+
+    ``steps`` runs from the base outward; each step maps onto its own pair
+    (w, w'):
+
+    - ``("peel", w, w', v)``: phi_down from R_{wv,w'v}, no new coordinate;
+    - ``("extend", w, w', i, y_word)``: psi from R_{w,w's_i}, one new
+      coordinate, conjugating by the y-element of ``y_word``.
+    """
 
     index: CellIndex
-    kind: str  # "base" | "peel" | "extend"
     dim: int
-    inner: Optional["Chart"] = None
-    v: Optional[Perm] = None          # peel
-    word_v: Optional[Word] = None     # peel
-    s_index: Optional[int] = None     # extend
-    y_word: Optional[Word] = None     # extend
+    base: Perm
+    steps: tuple
 
-    def to_json(self) -> dict:
-        data = {
-            "w": weyl.perm_to_str(self.index.w),
-            "wp": weyl.perm_to_str(self.index.wp),
-            "node": self.kind,
-            "dim": self.dim,
-        }
-        if self.kind == "peel":
-            data["v"] = weyl.perm_to_str(self.v)
-            data["word_v"] = list(self.word_v)
-            data["inner"] = self.inner.to_json()
-        elif self.kind == "extend":
-            data["s"] = self.s_index
-            data["y_word"] = list(self.y_word)
-            data["inner"] = self.inner.to_json()
-        return data
+    def shape(self) -> str:
+        """The steps from the outside in, e.g. ``peel(2,1,3) -> extend(s2) -> base``."""
+        parts = [f"peel({weyl.perm_to_str(step[3])})" if step[0] == "peel"
+                 else f"extend(s{step[3]})" for step in reversed(self.steps)]
+        return " -> ".join(parts + ["base"])
 
 
 @lru_cache(maxsize=None)
@@ -182,22 +177,21 @@ def base_point(w: Perm) -> BorelPt:
 
 
 @lru_cache(maxsize=None)
-def build_chart(w: Perm, wp: Perm, strategy: str = weyl.SMALLEST) -> Chart:
+def build_chart(w: Perm, wp: Perm) -> Chart:
     """Build the chart for (w, w') by peeling and descent-pair extension."""
     if not weyl.bruhat_leq(w, wp):
         raise NotComparable(f"{w} is not <= {wp} in Bruhat order")
     index = CellIndex(w, wp)
     if w == wp:
-        return Chart(index=index, kind="base", dim=0)
-    v, word_v = weyl.peel(w, wp, strategy)
+        return Chart(index, 0, w, ())
+    v, _ = weyl.peel(w, wp)
     if v != weyl.identity(len(w)):
-        inner = build_chart(weyl.multiply(w, v), weyl.multiply(wp, v), strategy)
-        return Chart(index=index, kind="peel", dim=inner.dim,
-                     inner=inner, v=v, word_v=word_v)
+        inner = build_chart(weyl.multiply(w, v), weyl.multiply(wp, v))
+        return Chart(index, inner.dim, inner.base, inner.steps + (("peel", w, wp, v),))
     i = weyl.find_descent_pair(w, wp)
-    inner = build_chart(w, weyl.right_mult_simple(wp, i), strategy)
-    return Chart(index=index, kind="extend", dim=inner.dim + 1, inner=inner,
-                 s_index=i, y_word=conjugator_word(w, strategy))
+    inner = build_chart(w, weyl.right_mult_simple(wp, i))
+    step = ("extend", w, wp, i, conjugator_word(w))
+    return Chart(index, inner.dim + 1, inner.base, inner.steps + (step,))
 
 
 def eval_chart(chart: Chart, params: Sequence) -> BorelPt:
@@ -211,13 +205,17 @@ def eval_chart(chart: Chart, params: Sequence) -> BorelPt:
 
 
 def _eval(chart: Chart, params: Sequence) -> BorelPt:
-    if chart.kind == "base":
-        return base_point(chart.index.w)
-    if chart.kind == "peel":
-        return phi_down(chart.index.wp, chart.v, _eval(chart.inner, params))
-    inner_pt = _eval(chart.inner, params[:-1])
-    y, y_inv = _conjugator(len(chart.index.w), chart.y_word)
-    return _psi_with(y, y_inv, chart.s_index, inner_pt, params[-1])
+    b = base_point(chart.base)
+    coords = iter(params)
+    for step in chart.steps:
+        if step[0] == "peel":
+            _, _w, wp, v = step
+            b = phi_down(wp, v, b)
+        else:
+            _, w, _wp, i, y_word = step
+            y, y_inv = _conjugator(len(w), y_word)
+            b = _psi_with(y, y_inv, i, b, next(coords))
+    return b
 
 
 def invert_chart(chart: Chart, b: BorelPt) -> tuple:
@@ -228,15 +226,19 @@ def invert_chart(chart: Chart, b: BorelPt) -> tuple:
 
 
 def _invert(chart: Chart, b: BorelPt) -> tuple:
-    if chart.kind == "base":
-        if b != base_point(chart.index.w):
-            raise NotInChartImage("point differs from the unique base point")
-        return ()
-    if chart.kind == "peel":
-        return _invert(chart.inner, phi_up(chart.index.w, chart.v, b))
-    y, y_inv = _conjugator(len(chart.index.w), chart.y_word)
-    p, a = _psi_inv_with(y, y_inv, chart.index.w, chart.index.wp, chart.s_index, b)
-    return _invert(chart.inner, p) + (a,)
+    coords = []
+    for step in reversed(chart.steps):
+        if step[0] == "peel":
+            _, w, _wp, v = step
+            b = phi_up(w, v, b)
+        else:
+            _, w, wp, i, y_word = step
+            y, y_inv = _conjugator(len(w), y_word)
+            b, a = _psi_inv_with(y, y_inv, w, wp, i, b)
+            coords.append(a)
+    if b != base_point(chart.base):
+        raise NotInChartImage("point differs from the unique base point")
+    return tuple(reversed(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +262,7 @@ class ClassifyResult:
         return data
 
 
-def classify(b: BorelPt, strategy: str = weyl.SMALLEST) -> ClassifyResult:
+def classify(b: BorelPt) -> ClassifyResult:
     """Locate b in its stratum and decide total nonnegativity.
 
     Inverts the stratum's chart and re-evaluates on the recovered
@@ -268,7 +270,7 @@ def classify(b: BorelPt, strategy: str = weyl.SMALLEST) -> ClassifyResult:
     b exactly and every coordinate is positive.
     """
     idx = stratum(b)
-    chart = build_chart(idx.w, idx.wp, strategy)
+    chart = build_chart(idx.w, idx.wp)
     try:
         coords = _invert(chart, b)
     except InternalInconsistency:

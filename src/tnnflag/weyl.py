@@ -23,10 +23,6 @@ Word = tuple[int, ...]
 
 DEFAULT_MAX_RANK = 6
 
-SMALLEST = "smallest_descent"
-LARGEST = "largest_descent"
-STRATEGIES = (SMALLEST, LARGEST)
-
 
 def max_rank() -> int:
     """Rank bound; overridable through the RTNN_MAX_RANK environment variable."""
@@ -102,31 +98,31 @@ def is_right_ascent(w: Perm, i: int) -> bool:
     return w[i - 1] < w[i]
 
 
-def reduced_word(w: Perm, strategy: str = SMALLEST) -> Word:
-    """Canonical reduced word of w: repeatedly strip one right descent.
+def reduced_word(w: Perm) -> Word:
+    """Canonical reduced word of w: repeatedly strip the smallest right descent.
 
-    ``smallest_descent`` (the default) always strips the smallest right
-    descent; ``largest_descent`` the largest.  Both yield reduced words of
-    length l(w) whose product is w.
+    The charts do not depend on this choice: the pinned representatives
+    satisfy the braid relations, and psi gives the same point for the
+    conjugator built from any reduced word.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown word strategy {strategy!r}")
-    pick = min if strategy == SMALLEST else max
     letters: list[int] = []
     cur = w
     while True:
         descents = right_descents(cur)
         if not descents:
             break
-        i = pick(descents)
+        i = descents[0]
         letters.append(i)
         cur = right_mult_simple(cur, i)
     return tuple(reversed(letters))
 
 
 def word_to_perm(n: int, word: Iterable[int]) -> Perm:
+    """Product of the simple reflections s_i for the letters i, each in 1..n-1."""
     w = identity(n)
     for i in word:
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"letter s{i} out of range 1..{n - 1} for n={n}")
         w = right_mult_simple(w, i)
     return w
 
@@ -190,23 +186,25 @@ def bruhat_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
     )
 
 
-def peel(w: Perm, wp: Perm, strategy: str = SMALLEST) -> tuple[Perm, Word]:
-    """Greedy maximal v with l(wv) = l(w)+l(v) and l(w'v) = l(w')+l(v).
+def peel(w: Perm, wp: Perm) -> tuple[Perm, Word]:
+    """The maximal v with l(wv) = l(w)+l(v) and l(w'v) = l(w')+l(v).
 
-    Extends by one eligible simple reflection at a time (smallest index
-    first under the default strategy) until none extends both.  Returns v
-    together with the reduced word recording the greedy order.  For the
-    returned v, every simple s lengthening wv shortens w'v.
+    The v that are length-additive with w form a lower interval of the
+    right weak order, so those additive with both w and w' form the
+    intersection of two lower intervals, which has a unique maximum (the
+    weak order is a lattice).  Extending by one common ascent at a time,
+    smallest index first, reaches it whatever the order; the returned word
+    records that order.  For the returned v, every simple s lengthening wv
+    shortens w'v.
     """
     if not bruhat_leq(w, wp):
         raise NotComparable(f"{w} is not <= {wp} in Bruhat order")
     n = len(w)
-    indices = range(1, n) if strategy == SMALLEST else range(n - 1, 0, -1)
     v = identity(n)
     wv, wpv = w, wp
     letters: list[int] = []
     while True:
-        for i in indices:
+        for i in range(1, n):
             if is_right_ascent(wv, i) and is_right_ascent(wpv, i):
                 v = right_mult_simple(v, i)
                 wv = right_mult_simple(wv, i)

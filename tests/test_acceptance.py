@@ -11,7 +11,7 @@ import random
 import pytest
 
 from conftest import rand_params, rand_rat, subword_leq
-from tnnflag import audit, linalg, weyl
+from tnnflag import audit, linalg, richardson, weyl
 from tnnflag.audit import audit_decomposition, audit_semigroup
 from tnnflag.flag import CellIndex, act, b_plus, borel_from, stratum
 from tnnflag.linalg import Rat, minor, rep_weyl, y_product
@@ -242,18 +242,30 @@ def test_criterion_10_determinism():
         a = audit_semigroup(3, samples=3, seed=42).dumps()
         b = audit_semigroup(3, samples=3, seed=42).dumps()
         assert a == b
-        # alternate reduced-word strategy: same verdicts on shared points
-        n = 3
+        # psi does not depend on the reduced word behind its conjugator, so
+        # any word serves: every descent pair at n <= 4, a mixed-sign inner
+        # point, every reduced word of w0 w^{-1} w0
         rng = random.Random(10)
-        pairs = weyl.bruhat_pairs(n)
-        for _ in range(500):
-            w, wp = pairs[rng.randrange(len(pairs))]
-            chart = build_chart(w, wp)
-            b = eval_chart(chart, rand_params(rng, chart.dim))
-            first = classify(b, weyl.SMALLEST)
-            second = classify(b, weyl.LARGEST)
-            assert first.nonneg == second.nonneg
-            assert first.index == second.index
+        multi_word = 0
+        for n in (2, 3, 4):
+            w0 = weyl.longest_element(n)
+            for w, wp in weyl.bruhat_pairs(n):
+                for i in range(1, n):
+                    if not (weyl.is_right_ascent(w, i)
+                            and not weyl.is_right_ascent(wp, i)):
+                        continue
+                    chart = build_chart(w, weyl.right_mult_simple(wp, i))
+                    b = eval_chart(chart, rand_params(rng, chart.dim))
+                    a = rand_rat(rng)
+                    target = weyl.multiply(weyl.multiply(w0, weyl.inverse(w)), w0)
+                    words = list(weyl.all_reduced_words(target))
+                    points = set()
+                    for word in words:
+                        y, y_inv = richardson._conjugator(n, word)
+                        points.add(richardson._psi_with(y, y_inv, i, b, a))
+                    assert points == {psi(w, wp, i, b, a)}
+                    multi_word += len(words) > 1
+        assert multi_word >= 40
 
-    _criterion(10, "byte-identical audit replay; word strategy changes no "
-                   "verdict on 500 points", body)
+    _criterion(10, "byte-identical audit replay; psi is the same for every "
+                   "reduced word of its conjugator", body)

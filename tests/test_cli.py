@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -35,6 +36,17 @@ class TestCells:
         code, _ = run(capsys, "cells", "--n", "9")
         assert code == 2
 
+    # digests of the output of the recursive charts that the flat step
+    # lists replaced: every chart shape must stay byte-identical
+    @pytest.mark.parametrize("n, digest", [
+        (4, "7e88253f46dd4c68272fa85f18283a256d882e977d1e4206cab01e083d24dc5b"),
+        (5, "d387cf5d87206d6f5f518eb58eb6a274449001773c28e30cf19015ebdd6ec96e"),
+    ], ids=["n4", "n5"])
+    def test_pinned_output(self, capsys, n, digest):
+        code, out = run(capsys, "cells", "--n", str(n))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_non_integer_rank_bound(self, capsys, monkeypatch):
         monkeypatch.setenv("RTNN_MAX_RANK", "abc")
         code, out, err = run_err(capsys, "cells", "--n", "3")
@@ -58,6 +70,13 @@ class TestEval:
                         "--format", "word")
         assert code == 0
         assert json.loads(out)["wp"] == "2,3,1"
+
+    @pytest.mark.parametrize("n, letter", [("3", "s0"), ("3", "s9"), ("4", "s-1")])
+    def test_word_letter_out_of_range(self, capsys, n, letter):
+        code, out, err = run_err(capsys, "eval", "--n", n, "--format", "word",
+                                 "--w", letter, "--wp", "s1")
+        assert code == 5
+        assert out == "" and len(err.splitlines()) == 1
 
     def test_zero_param(self, capsys):
         code, _ = run(capsys, "eval", "--n", "2", "--w", "1,2",

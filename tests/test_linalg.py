@@ -232,6 +232,37 @@ class TestOppositeBigCell:
             assert borel_from(mat_mul(x, rep_weyl(w0))) == borel_from(g)
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_same_witness_on_the_coset(self, n):
+        # U_{w0} = U^+, so x depends only on g * B^+: right multiplying by a
+        # det-1 upper triangular t changes nothing, or the cell misses both
+        rng = random.Random(60 + n)
+        inputs = [_dense_sl(n, rng) for _ in range(10)]
+        inputs += [_mostly_zero_sl(n, rng) for _ in range(20)]
+        inputs += [_conjugated_chart_image(n, rng) for _ in range(10)]
+        outcomes = set()
+        for g in inputs:
+            diag = [rand_rat(rng) for _ in range(n - 1)]
+            prod = Rat(1)
+            for d in diag:
+                prod *= d
+            diag.append(1 / prod)
+            t = mat(tuple(
+                tuple(diag[i] if i == j else
+                      (rand_rat(rng) if j > i and rng.random() < 0.7 else Rat(0))
+                      for j in range(n))
+                for i in range(n)))
+            try:
+                x = opposite_big_cell_factor(g)
+            except NotInBigCell:
+                outcomes.add(False)
+                with pytest.raises(NotInBigCell):
+                    opposite_big_cell_factor(mat_mul(g, t))
+                continue
+            outcomes.add(True)
+            assert opposite_big_cell_factor(mat_mul(g, t)) == x
+        assert outcomes == {True, False}
+
 
 class TestTNNSemigroupMinors:
     def _all_minors_nonneg(self, m, n):

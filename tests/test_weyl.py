@@ -78,11 +78,10 @@ class TestReducedWord:
         assert weyl.word_to_perm(3, word) == (3, 2, 1)
         assert word == (1, 2, 1)
 
-    @pytest.mark.parametrize("strategy", weyl.STRATEGIES)
-    def test_reduced_and_correct(self, strategy):
+    def test_reduced_and_correct(self):
         for n in (2, 3, 4):
             for w in weyl.all_perms(n):
-                word = weyl.reduced_word(w, strategy)
+                word = weyl.reduced_word(w)
                 assert len(word) == weyl.length(w)
                 assert weyl.word_to_perm(n, word) == w
 
@@ -162,6 +161,20 @@ class TestPeel:
                 for i in range(1, n):
                     assert not (weyl.is_right_ascent(wv, i)
                                 and weyl.is_right_ascent(wpv, i))
+
+    def test_v_is_the_unique_maximum(self):
+        # every v additive with both w and w' is a prefix of the peeled v,
+        # so no choice of letter order could peel a different one
+        for n in (2, 3, 4):
+            perms = weyl.all_perms(n)
+            for w, wp in weyl.bruhat_pairs(n):
+                v, _ = weyl.peel(w, wp)
+                for u in perms:
+                    if (weyl.length(weyl.multiply(w, u)) == weyl.length(w) + weyl.length(u)
+                            and weyl.length(weyl.multiply(wp, u))
+                            == weyl.length(wp) + weyl.length(u)):
+                        rest = weyl.multiply(weyl.inverse(u), v)
+                        assert weyl.length(u) + weyl.length(rest) == weyl.length(v)
 
 
 class TestFindDescentPair:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from . import flag, linalg, richardson, weyl
 from .errors import NotTNN, RankTooLarge
-from .flag import act, b_plus, stratum
-from .linalg import Mat, Rat, bruhat_factor_plus, gen_y, mat_mul, y_product
+from .flag import act, b_plus
+from .linalg import Mat, Rat, bruhat_factor_plus, mat_mul, y_product
 from .weyl import Perm
 
 

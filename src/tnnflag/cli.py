@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 audit found failures, 2 invalid rank, 3 parameter
 count mismatch, 4 zero parameter, 5 parse error, 6 singular or non-det-1
 input matrix, 7 internal error (a contract that holds by construction was
 violated).
+
+Rationals, as matrix entries or in --params, are integers, 'p/q' strings
+or plain decimals such as '-1.25'.  JSON booleans, JSON floats and
+exponent notation such as '1e2' exit 5.
 """
 
 from __future__ import annotations

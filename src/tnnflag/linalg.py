@@ -4,11 +4,13 @@ Matrices are immutable tuples of tuples of exact rationals.  ``gmpy2.mpq``
 is used when available (it is markedly faster), with ``fractions.Fraction``
 as a drop-in fallback; the two are interchangeable value types.
 
-Chevalley generators x_i(a), y_i(a) and the pinned simple-reflection
-representatives live here, together with the one factorization everything
-geometric reduces to: the Bruhat factorization g = b1 * rep(w) * b2 with
-b1, b2 upper triangular.  The unique upper-unitriangular witness of a
-Borel opposite to B^- is its b1 when w = w0.
+Chevalley generators x_i(a), y_i(a) and the pinned Weyl representatives
+live here, together with the one factorization everything geometric
+reduces to: the Bruhat factorization g = b1 * rep(w) * b2 with b1, b2
+upper triangular.  The unique upper-unitriangular witness of a Borel
+opposite to B^- is its b1 when w = w0.  The representative of w is a
+signed permutation matrix in closed form, so its inverse is its
+transpose; no reduced word and no elimination is needed for either.
 """
 
 from __future__ import annotations
@@ -34,13 +36,19 @@ ONE = Rat(1)
 
 
 def rat(value) -> "Rat":
-    """Coerce ints, 'p/q' strings, or rationals to the exact rational type.
+    """Coerce an int, a rational, or a string 'p', 'p/q' or plain decimal
+    such as '-1.25' to the exact rational type.
 
-    Anything else, a zero denominator included, raises ValueError.
+    Anything else raises ValueError: a zero denominator, a bool, a float
+    (inexact by definition), and exponent notation such as '1e2', whose
+    parse time grows with the exponent.
     """
+    if isinstance(value, bool) or not isinstance(value, (int, str, Rat)) or (
+            isinstance(value, str) and "e" in value.lower()):
+        raise ValueError(f"not an exact rational: {value!r}")
     try:
         return Rat(value)
-    except (TypeError, ZeroDivisionError, OverflowError) as exc:
+    except ZeroDivisionError as exc:
         raise ValueError(f"not an exact rational: {value!r}") from exc
 
 
@@ -175,7 +183,6 @@ def gen_y(n: int, i: int, a) -> Mat:
     return tuple(tuple(row) for row in rows)
 
 
-@lru_cache(maxsize=None)
 def rep_simple(n: int, i: int) -> Mat:
     """Pinned representative of s_i: y_i(1) x_i(-1) y_i(1), the block [[0,-1],[1,0]]."""
     _check_index(n, i)
@@ -184,22 +191,27 @@ def rep_simple(n: int, i: int) -> Mat:
 
 @lru_cache(maxsize=None)
 def rep_weyl(w: Perm) -> Mat:
-    """Representative of w: product of rep_simple along the canonical reduced word.
+    """Representative of w: the signed permutation matrix with entry
+    (-1)^#{k < j : w(k) > w(j)} at (w(j), j).
 
-    Independent of the reduced word, the pinned representatives satisfying
-    the braid relations.
+    This is the product of rep_simple along any reduced word of w: the
+    pinned representatives satisfy the braid relations.
     """
     n = len(w)
-    out = identity_mat(n)
-    for i in weyl.reduced_word(w):
-        out = mat_mul(out, rep_simple(n, i))
-    return out
+    rows = [[ZERO] * n for _ in range(n)]
+    for j, image in enumerate(w):
+        odd = sum(1 for k in range(j) if w[k] > image) % 2
+        rows[image - 1][j] = -ONE if odd else ONE
+    return tuple(tuple(row) for row in rows)
 
 
 @lru_cache(maxsize=None)
 def rep_weyl_inv(w: Perm) -> Mat:
-    """Inverse of rep_weyl(w), checked once when it enters the cache."""
-    inv = mat_inv(rep_weyl(w))
+    """Inverse of rep_weyl(w), the transpose of a signed permutation matrix.
+
+    Checked once when it enters the cache.
+    """
+    inv = transpose(rep_weyl(w))
     if mat_mul(rep_weyl(w), inv) != identity_mat(len(w)):
         raise InternalInconsistency(f"rep_weyl({w}) times its inverse is not I")
     return inv
@@ -242,12 +254,14 @@ def bruhat_factor_plus(g: Mat) -> tuple[Mat, Perm, Mat]:
         used[p] = True
         images[j] = p + 1
         # clear all rows above the pivot; row p is zero in columns < j, so
-        # earlier columns are untouched
+        # earlier columns are untouched, and only its nonzero entries act
+        pivot_row = [(k, y) for k, y in enumerate(m[p]) if y]
         for i in range(p):
             if m[i][j] != 0:
                 f = m[i][j] / m[p][j]
-                for k in range(j, n):
-                    m[i][k] -= f * m[p][k]
+                row = m[i]
+                for k, y in pivot_row:
+                    row[k] -= f * y
                 # b1 := b1 * (I + f e_{i,p})
                 for r in range(n):
                     if b1[r][i] != 0:

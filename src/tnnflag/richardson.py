@@ -24,8 +24,8 @@ from .errors import (
 )
 from .flag import BorelPt, CellIndex, borel_from, stratum
 from .linalg import (
-    Mat, Rat, bruhat_factor_plus, gen_x, mat_inv, mat_mul, rep_weyl,
-    rep_weyl_inv, y_product,
+    Mat, Rat, bruhat_factor_plus, gen_x, mat_mul, rep_weyl, rep_weyl_inv,
+    y_product,
 )
 from .weyl import Perm, Word
 
@@ -85,8 +85,10 @@ def conjugator_word(w: Perm) -> Word:
 
 @lru_cache(maxsize=None)
 def _conjugator(n: int, y_word: Word) -> tuple[Mat, Mat]:
-    y = y_product(n, y_word, [Rat(1)] * len(y_word))
-    return y, mat_inv(y)
+    """y = y_{i_1}(1)...y_{i_k}(1) and its inverse y_{i_k}(-1)...y_{i_1}(-1)."""
+    k = len(y_word)
+    y = y_product(n, y_word, [Rat(1)] * k)
+    return y, y_product(n, y_word[::-1], [Rat(-1)] * k)
 
 
 def _psi_with(y: Mat, y_inv: Mat, s_index: int, b: BorelPt, a) -> BorelPt:
@@ -145,8 +147,8 @@ class Chart:
     (w, w'):
 
     - ``("peel", w, w', v)``: phi_down from R_{wv,w'v}, no new coordinate;
-    - ``("extend", w, w', i, y_word)``: psi from R_{w,w's_i}, one new
-      coordinate, conjugating by the y-element of ``y_word``.
+    - ``("extend", w, w', i)``: psi from R_{w,w's_i}, one new coordinate;
+      its conjugating y-element is a function of w.
     """
 
     index: CellIndex
@@ -184,13 +186,13 @@ def build_chart(w: Perm, wp: Perm) -> Chart:
     index = CellIndex(w, wp)
     if w == wp:
         return Chart(index, 0, w, ())
-    v, _ = weyl.peel(w, wp)
+    v = weyl.peel(w, wp)
     if v != weyl.identity(len(w)):
         inner = build_chart(weyl.multiply(w, v), weyl.multiply(wp, v))
         return Chart(index, inner.dim, inner.base, inner.steps + (("peel", w, wp, v),))
     i = weyl.find_descent_pair(w, wp)
     inner = build_chart(w, weyl.right_mult_simple(wp, i))
-    step = ("extend", w, wp, i, conjugator_word(w))
+    step = ("extend", w, wp, i)
     return Chart(index, inner.dim + 1, inner.base, inner.steps + (step,))
 
 
@@ -207,14 +209,11 @@ def eval_chart(chart: Chart, params: Sequence) -> BorelPt:
 def _eval(chart: Chart, params: Sequence) -> BorelPt:
     b = base_point(chart.base)
     coords = iter(params)
-    for step in chart.steps:
-        if step[0] == "peel":
-            _, _w, wp, v = step
-            b = phi_down(wp, v, b)
+    for kind, w, wp, arg in chart.steps:
+        if kind == "peel":
+            b = phi_down(wp, arg, b)
         else:
-            _, w, _wp, i, y_word = step
-            y, y_inv = _conjugator(len(w), y_word)
-            b = _psi_with(y, y_inv, i, b, next(coords))
+            b = psi(w, wp, arg, b, next(coords))
     return b
 
 
@@ -227,14 +226,11 @@ def invert_chart(chart: Chart, b: BorelPt) -> tuple:
 
 def _invert(chart: Chart, b: BorelPt) -> tuple:
     coords = []
-    for step in reversed(chart.steps):
-        if step[0] == "peel":
-            _, w, _wp, v = step
-            b = phi_up(w, v, b)
+    for kind, w, wp, arg in reversed(chart.steps):
+        if kind == "peel":
+            b = phi_up(w, arg, b)
         else:
-            _, w, wp, i, y_word = step
-            y, y_inv = _conjugator(len(w), y_word)
-            b, a = _psi_inv_with(y, y_inv, w, wp, i, b)
+            b, a = psi_inv(w, wp, arg, b)
             coords.append(a)
     if b != base_point(chart.base):
         raise NotInChartImage("point differs from the unique base point")

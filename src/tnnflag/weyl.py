@@ -146,28 +146,20 @@ def demazure_product(n: int, letters: Iterable[int]) -> Perm:
     return w
 
 
-def _dominance_table(w: Perm) -> tuple[tuple[int, ...], ...]:
-    # t[i][j] = #{k <= j : w(k) >= i+1}, 1 <= j <= n
-    n = len(w)
-    t = []
-    for i in range(1, n + 1):
-        row = []
-        c = 0
-        for j in range(n):
-            if w[j] >= i:
-                c += 1
-            row.append(c)
-        t.append(tuple(row))
-    return tuple(t)
-
-
 def bruhat_leq(u: Perm, w: Perm) -> bool:
-    """u <= w in Bruhat order, by the dominance (rank-matrix) criterion."""
+    """u <= w in Bruhat order, by the rank-matrix criterion on sorted prefixes.
+
+    #{i <= k : u(i) >= j} <= #{i <= k : w(i) >= j} holds for every j exactly
+    when sorted(u[:k]) <= sorted(w[:k]) entrywise (the tableau criterion,
+    Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 2).
+    """
     if len(u) != len(w):
         raise RankMismatch(f"ranks differ: {len(u)} vs {len(w)}")
-    tu, tw = _dominance_table(u), _dominance_table(w)
-    n = len(u)
-    return all(tu[i][j] <= tw[i][j] for i in range(n) for j in range(n))
+    return all(
+        x <= y
+        for k in range(1, len(u))
+        for x, y in zip(sorted(u[:k]), sorted(w[:k]))
+    )
 
 
 def all_perms(n: int) -> list[Perm]:
@@ -186,34 +178,31 @@ def bruhat_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
     )
 
 
-def peel(w: Perm, wp: Perm) -> tuple[Perm, Word]:
+def peel(w: Perm, wp: Perm) -> Perm:
     """The maximal v with l(wv) = l(w)+l(v) and l(w'v) = l(w')+l(v).
 
     The v that are length-additive with w form a lower interval of the
     right weak order, so those additive with both w and w' form the
     intersection of two lower intervals, which has a unique maximum (the
     weak order is a lattice).  Extending by one common ascent at a time,
-    smallest index first, reaches it whatever the order; the returned word
-    records that order.  For the returned v, every simple s lengthening wv
-    shortens w'v.
+    smallest index first, reaches it whatever the order.  For the returned
+    v, every simple s lengthening wv shortens w'v.
     """
     if not bruhat_leq(w, wp):
         raise NotComparable(f"{w} is not <= {wp} in Bruhat order")
     n = len(w)
     v = identity(n)
     wv, wpv = w, wp
-    letters: list[int] = []
     while True:
         for i in range(1, n):
             if is_right_ascent(wv, i) and is_right_ascent(wpv, i):
                 v = right_mult_simple(v, i)
                 wv = right_mult_simple(wv, i)
                 wpv = right_mult_simple(wpv, i)
-                letters.append(i)
                 break
         else:
             break
-    return v, tuple(letters)
+    return v
 
 
 def find_descent_pair(w: Perm, wp: Perm) -> int:
@@ -235,9 +224,3 @@ def perm_from_str(s: str) -> Perm:
 def word_to_str(word: Word) -> str:
     return "[" + ",".join(str(i) for i in word) + "]"
 
-
-def word_from_str(s: str) -> Word:
-    body = s.strip().lstrip("[").rstrip("]").strip()
-    if not body:
-        return ()
-    return tuple(int(part) for part in body.split(","))

@@ -149,3 +149,45 @@ def codim_check(b):
     """(l(w), l(w') - l(w)) for the stratum of b; the second is the local dimension."""
     idx = stratum(b)
     return weyl.length(idx.w), idx.dim()
+
+
+def dominance_table(w):
+    """Rank matrix of w: #{i <= k : w(i) >= j} for k, j in 1..n, row-major."""
+    n = len(w)
+    return tuple(
+        sum(1 for x in w[:k] if x >= j)
+        for k in range(1, n + 1) for j in range(1, n + 1)
+    )
+
+
+def leibniz_det(rows):
+    """Determinant as the signed sum over all permutations (small sizes only)."""
+    k = len(rows)
+    total = 0
+    for p in itertools.permutations(range(k)):
+        inversions = sum(1 for a in range(k) for b in range(a + 1, k) if p[a] > p[b])
+        term = -1 if inversions % 2 else 1
+        for r, c in enumerate(p):
+            term *= rows[r][c]
+        total += term
+    return total
+
+
+def flag_minors_tnn(g):
+    """Chart-free oracle: is the flag g * B^+ totally nonnegative?
+
+    Right multiplication by B^+ scales the k x k minors of the first k
+    columns of g by one common nonzero factor, and the flag is TNN iff for
+    each k < n those minors that are nonzero share one sign (Lusztig 1994;
+    Bloch-Karp, arXiv:2206.05806).
+    """
+    n = len(g)
+    for k in range(1, n):
+        signs = set()
+        for rows in itertools.combinations(range(n), k):
+            d = leibniz_det([g[r][:k] for r in rows])
+            if d:
+                signs.add(d > 0)
+        if len(signs) > 1:
+            return False
+    return True

@@ -89,6 +89,19 @@ class TestEval:
         assert code == 5
         assert out == "" and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("params", ["1e2", "1E2", "2.5e-1"])
+    def test_exponent_param(self, capsys, params):
+        code, out, err = run_err(capsys, "eval", "--n", "2", "--w", "1,2",
+                                 "--wp", "2,1", "--params", params)
+        assert code == 5
+        assert out == "" and len(err.splitlines()) == 1
+
+    def test_decimal_param(self, capsys):
+        code, out = run(capsys, "eval", "--n", "2", "--w", "1,2",
+                        "--wp", "2,1", "--params", "0.25")
+        assert code == 0
+        assert json.loads(out)["params"] == ["1/4"]
+
     def test_wrong_count(self, capsys):
         code, _ = run(capsys, "eval", "--n", "2", "--w", "1,2",
                       "--wp", "2,1", "--params", "1,2")
@@ -142,6 +155,27 @@ class TestClassify:
         code, out, err = run_err(capsys, "classify", str(f))
         assert code == 5
         assert out == "" and len(err.splitlines()) == 1
+
+    # booleans and floats are not exact rationals, and exponent notation
+    # costs time that grows with the exponent
+    @pytest.mark.parametrize("text", [
+        "[[true,0],[0,1]]",
+        "[[2.0,0],[0,0.5]]",
+        '[["1e2","0"],["0","1/100"]]',
+    ], ids=["bool", "float", "exponent"])
+    def test_inexact_entry(self, capsys, tmp_path, text):
+        f = tmp_path / "m.json"
+        f.write_text(text)
+        code, out, err = run_err(capsys, "classify", str(f))
+        assert code == 5
+        assert out == "" and len(err.splitlines()) == 1
+
+    def test_integer_and_decimal_entries(self, capsys, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text('[[1,0],["0.5","1.0"]]')
+        code, out = run(capsys, "classify", str(f))
+        assert code == 0
+        assert json.loads(out)["coords"] == ["2"]
 
     def test_rank_bound(self, capsys, tmp_path):
         f = tmp_path / "m.json"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +87,15 @@ class TestRepresentatives:
                     for i in word:
                         m = mat_mul(m, rep_simple(n, i))
                     assert m == expected, (w, word)
+
+    def test_closed_form_is_the_reduced_word_product(self):
+        for n in range(1, 7):
+            for w in weyl.all_perms(n):
+                m = identity_mat(n)
+                for i in weyl.reduced_word(w):
+                    m = mat_mul(m, rep_simple(n, i))
+                assert rep_weyl(w) == m, w
+                assert linalg.rep_weyl_inv(w) == mat_inv(m), w
 
     def test_det_one(self):
         for w in weyl.all_perms(4):
@@ -297,6 +307,27 @@ class TestSerialization:
         assert linalg.rat_to_str(Rat(3, 4)) == "3/4"
         assert linalg.rat_to_str(Rat(5)) == "5"
         assert linalg.rat("-7/2") == Rat(-7, 2)
+
+    @pytest.mark.parametrize("value, expected", [
+        (3, Rat(3)), ("-7/21", Rat(-1, 3)), (" 12 ", Rat(12)), ("-1.25", Rat(-5, 4)),
+        (".5", Rat(1, 2)), (Rat(2, 3), Rat(2, 3)),
+    ])
+    def test_rat_accepts(self, value, expected):
+        assert linalg.rat(value) == expected
+
+    @pytest.mark.parametrize("value", [
+        True, False, 2.0, 0.5, "1e2", "1E2", "2.5e-1", "1/0", None, [1],
+    ])
+    def test_rat_rejects(self, value):
+        with pytest.raises(ValueError):
+            linalg.rat(value)
+
+    def test_rat_rejects_a_huge_exponent_at_once(self):
+        # Fraction("1e10000000") alone takes seconds, and more with the exponent
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            linalg.rat("1e10000000")
+        assert time.perf_counter() - start < 0.1
 
     def test_mat_roundtrip(self):
         m = mat([[1, Rat(1, 2)], [Rat(-3, 4), 1]])

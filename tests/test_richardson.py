@@ -3,14 +3,19 @@ import random
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from conftest import key_chart_lower, key_chart_upper, rand_params, rand_rat
+from conftest import (
+    flag_minors_tnn, key_chart_lower, key_chart_upper, rand_params, rand_rat,
+    random_sl,
+)
 from tnnflag import linalg, richardson, weyl
 from tnnflag.errors import (
     NotInBigCell, NotInChartImage, ParamCountMismatch, WrongStratum,
     ZeroParameter,
 )
 from tnnflag.flag import CellIndex, act, b_minus, b_plus, borel_from, stratum
-from tnnflag.linalg import Rat, gen_x, gen_y, mat_mul, rep_weyl, y_product
+from tnnflag.linalg import (
+    Rat, gen_x, gen_y, identity_mat, mat_mul, rep_weyl, y_product,
+)
 from tnnflag.richardson import (
     base_point, build_chart, classify, conjugator_word, eval_chart,
     invert_chart, phi_down, phi_up, pi, psi, psi_inv,
@@ -83,7 +88,7 @@ class TestPhiUp:
     def test_inverse_of_phi_down(self):
         rng = random.Random(12)
         for w, wp in weyl.bruhat_pairs(3):
-            v, _ = weyl.peel(w, wp)
+            v = weyl.peel(w, wp)
             if v == weyl.identity(3):
                 continue
             wv, wpv = weyl.multiply(w, v), weyl.multiply(wp, v)
@@ -162,6 +167,12 @@ class TestPsi:
         for a in (Rat(2), Rat(-1, 3)):
             b = psi(e, s1, 1, b_minus(2), a)
             assert b == act(gen_x(2, 1, a), b_minus(2))
+
+    def test_conjugator_inverse_is_the_reversed_word(self):
+        for n in range(2, 6):
+            for w in weyl.all_perms(n):
+                y, y_inv = richardson._conjugator(n, conjugator_word(w))
+                assert mat_mul(y, y_inv) == identity_mat(n), w
 
     def test_zero_parameter(self):
         with pytest.raises(ZeroParameter):
@@ -313,12 +324,11 @@ class TestCharts:
             for w, wp in weyl.bruhat_pairs(n):
                 chart = build_chart(w, wp)
                 cur = (chart.base, chart.base)
-                for step in chart.steps:
-                    kind, sw, swp, arg = step[:4]
+                for kind, sw, swp, arg in chart.steps:
                     if kind == "peel":
                         assert cur == (weyl.multiply(sw, arg), weyl.multiply(swp, arg))
                     else:
-                        assert kind == "extend" and step[4] == conjugator_word(sw)
+                        assert kind == "extend"
                         assert cur == (sw, weyl.right_mult_simple(swp, arg))
                     cur = (sw, swp)
                 assert cur == (w, wp)
@@ -401,6 +411,24 @@ class TestClassify:
             b_neg = eval_chart(chart, params)
             assert not classify(b_neg).nonneg
             assert not classify(act(y, b_neg)).nonneg
+
+    # random flags and chart images of random pairs, boundary cells included,
+    # half of them with mixed-sign parameters
+    @pytest.mark.parametrize("n, count", [(3, 100), (4, 80), (5, 40)])
+    def test_verdict_matches_flag_minor_oracle(self, n, count):
+        rng = random.Random(60 + n)
+        pairs = weyl.bruhat_pairs(n)
+        flags = [borel_from(random_sl(n, rng)) for _ in range(count)]
+        for _ in range(count):
+            chart = build_chart(*rng.choice(pairs))
+            positive = rng.random() < 0.5
+            flags.append(eval_chart(chart, rand_params(rng, chart.dim, positive)))
+        verdicts = set()
+        for b in flags:
+            expected = flag_minors_tnn(b.rep)
+            assert classify(b).nonneg == expected, linalg.mat_to_json(b.rep)
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
     def test_result_serialization(self):
         result = classify(act(gen_y(2, 1, Rat(1, 3)), b_plus(2)))

@@ -8,6 +8,8 @@ classifier.  The same reports are available from the CLI.  Run with
     python3 demos/04_audit_and_cli.py
 """
 
+import json
+
 from tnnflag.audit import audit_decomposition, audit_semigroup
 from tnnflag.cli import main as cli_main
 
@@ -15,11 +17,11 @@ from tnnflag.cli import main as cli_main
 def main() -> None:
     report = audit_decomposition(3, samples=5, seed=7)
     print("decomposition audit (n=3, 5 samples/cell, seed 7):")
-    print(report.dumps())
+    print(json.dumps(report.to_json(), sort_keys=True, indent=2))
 
     report = audit_semigroup(3, samples=5, seed=7)
     print("\nsemigroup audit (n=3, 5 samples, seed 7):")
-    print(report.dumps())
+    print(json.dumps(report.to_json(), sort_keys=True, indent=2))
 
     print("\nthe same through the CLI (`tnnflag cells --n 3`):")
     code = cli_main(["cells", "--n", "3"])

@@ -12,7 +12,6 @@ order in which tasks run.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass, field
 
@@ -48,9 +47,6 @@ class AuditReport:
             "samples_passed": self.samples_passed,
             "failures": self.failures,
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
 
 
 def _stream(seed: int, label: str) -> random.Random:

@@ -1,9 +1,9 @@
 """Command-line front end with stable JSON output.
 
 Exit codes: 0 success, 1 audit found failures, 2 invalid rank, 3 parameter
-count mismatch, 4 zero parameter, 5 parse error, 6 singular or non-det-1
-input matrix, 7 internal error (a contract that holds by construction was
-violated).
+count mismatch, 4 zero parameter, 5 parse or usage error, 6 singular or
+non-det-1 input matrix, 7 internal error (a contract that holds by
+construction was violated).
 
 Rationals, as matrix entries or in --params, are integers, 'p/q' strings
 or plain decimals such as '-1.25'.  JSON booleans, JSON floats and
@@ -109,8 +109,8 @@ def cmd_eval(args) -> int:
         "w": weyl.perm_to_str(w),
         "wp": weyl.perm_to_str(wp),
         "params": [linalg.rat_to_str(p) for p in params],
-        "borel_rep": linalg.mat_to_json(b.rep),
         "stratum": flag.stratum(b).to_json(),
+        **b.to_json(),
     }
     _emit(args, payload)
     return 0
@@ -122,9 +122,15 @@ def cmd_classify(args) -> int:
     else:
         with open(args.matrix_file) as fh:
             raw = fh.read()
-    rows = json.loads(raw)
+    try:
+        rows = json.loads(raw)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
     if isinstance(rows, dict):
         rows = rows.get("borel_rep", rows)
+    # reject an oversized matrix before converting its entries
+    if isinstance(rows, list) and len(rows) > weyl.max_rank():
+        _check_rank(len(rows))
     g = linalg.mat_from_json(rows)
     _check_rank(len(g))
     b = flag.borel_from(g)
@@ -146,8 +152,15 @@ def cmd_audit(args) -> int:
     return EXIT_AUDIT_FAILURES if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so that main reports them as parse errors."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tnnflag",
         description="Exact cell decomposition of the TNN flag variety of SL_n.",
     )
@@ -165,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--w", required=True)
     p.add_argument("--wp", required=True)
-    p.add_argument("--params", default="")
+    p.add_argument("--params", default="", help="comma-separated rationals; "
+                   "write --params=-1/2,3 when the first is negative")
     p.add_argument("--format", choices=["oneline", "word"], default="oneline")
     common(p)
     p.set_defaults(func=cmd_eval)
@@ -187,11 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except HANDLED as exc:
-        print(str(exc), file=sys.stderr)
+        # one line, also when the message quotes an argument with a newline
+        print(" ".join(str(exc).splitlines()), file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 

@@ -2,11 +2,11 @@
 
 A point of the flag variety is a coset g * B^+ stored through a canonical
 representative, so that coset equality is plain tuple equality.  The
-canonical form is a column echelon modulo right multiplication by upper
-triangular matrices: bottom-most pivots are normalized to 1 and cleared
-rightward, and the last column is rescaled so the representative has
-determinant 1.  The determinant of the input is read from the same
-echelon.
+canonical form is ``linalg.column_echelon``, which is unique modulo right
+multiplication by upper triangular matrices: bottom-most pivots are
+normalized to 1 and cleared rightward, and the last column is negated
+when needed so the representative has determinant 1.  The determinant of
+the input is read from the same echelon.
 
 The relative position of two flags is the Bruhat cell B^+ w B^+ of
 rep1^{-1} * rep2, read from ``linalg.bruhat_factor_plus``; the stratum of a
@@ -15,8 +15,8 @@ flag is its pair of relative positions from B^+ and from B^-.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import linalg, weyl
 from .errors import InternalInconsistency, Singular
@@ -37,51 +37,31 @@ class BorelPt:
     def to_json(self) -> dict:
         return {"borel_rep": linalg.mat_to_json(self.rep)}
 
-    @staticmethod
-    def from_json(data: dict) -> "BorelPt":
-        return borel_from(linalg.mat_from_json(data["borel_rep"]))
-
 
 def borel_from(g: Mat) -> BorelPt:
     """The coset g * B^+; g must be invertible of determinant 1.
 
-    Column operations bring g to the canonical echelon.  Adding a multiple
-    of one column to another keeps the determinant and dividing a column
-    by its pivot f divides it by f, while the echelon itself has the
-    determinant of its pivot permutation, so det(g) = sgn(pivots) * prod(f)
-    without a separate elimination.
+    The representative is c from the column echelon g = c * u, with its last
+    column negated when w is odd.  det(c) = sgn(w) and u is triangular, so
+    det(g) = sgn(w) * prod(pivots) is read from the diagonal of u without a
+    separate elimination.
     """
-    n = len(g)
-    cols = [[g[i][j] for i in range(n)] for j in range(n)]
-    pivots: list[int] = []
-    scale = linalg.ONE
-    for j in range(n):
-        col = cols[j]
-        for jp, p in enumerate(pivots):
-            if col[p] != 0:
-                f = col[p]
-                col[:] = [x - f * y if y else x for x, y in zip(col, cols[jp])]
-        p = max((i for i in range(n) if col[i] != 0), default=None)
-        if p is None:
-            raise Singular("representative must have determinant 1")
-        f = col[p]
-        col[:] = [x / f if x else x for x in col]
-        pivots.append(p)
-        scale *= f
-    odd = weyl.length(tuple(p + 1 for p in pivots)) % 2
-    if (-scale if odd else scale) != 1:
+    try:
+        c, w, u = linalg.column_echelon(g)
+    except Singular:
+        raise Singular("representative must have determinant 1") from None
+    odd = weyl.length(w) % 2
+    if math.prod(u[j][j] for j in range(len(g))) != (-1 if odd else 1):
         raise Singular("representative must have determinant 1")
     if odd:
-        cols[n - 1] = [-x for x in cols[n - 1]]
-    return BorelPt(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+        c = tuple(row[:-1] + (-row[-1],) for row in c)
+    return BorelPt(c)
 
 
-@lru_cache(maxsize=None)
 def b_plus(n: int) -> BorelPt:
     return borel_from(linalg.identity_mat(n))
 
 
-@lru_cache(maxsize=None)
 def b_minus(n: int) -> BorelPt:
     return borel_from(linalg.rep_weyl(weyl.longest_element(n)))
 

@@ -5,12 +5,14 @@ is used when available (it is markedly faster), with ``fractions.Fraction``
 as a drop-in fallback; the two are interchangeable value types.
 
 Chevalley generators x_i(a), y_i(a) and the pinned Weyl representatives
-live here, together with the one factorization everything geometric
-reduces to: the Bruhat factorization g = b1 * rep(w) * b2 with b1, b2
-upper triangular.  The unique upper-unitriangular witness of a Borel
-opposite to B^- is its b1 when w = w0.  The representative of w is a
-signed permutation matrix in closed form, so its inverse is its
-transpose; no reduced word and no elimination is needed for either.
+live here, together with the one elimination everything geometric
+reduces to: the column echelon g = c * u.  It gives the canonical
+representative of the coset g * B^+ and the Bruhat factorization
+g = b1 * rep(w) * b2 with b1 in U_w and b2 upper triangular.  The unique
+upper-unitriangular witness of a Borel opposite to B^- is its b1 when
+w = w0.  The representative of w is a signed permutation matrix in closed
+form, so its inverse is its transpose; no reduced word and no elimination
+is needed for either.
 """
 
 from __future__ import annotations
@@ -231,60 +233,64 @@ def y_product(n: int, letters: Sequence[int], params: Sequence) -> Mat:
 # Factorizations
 
 
+def column_echelon(g: Mat) -> tuple[Mat, Perm, Mat]:
+    """The column echelon g = c * u, the one elimination behind the Bruhat
+    factorization and the canonical coset representative.
+
+    Column j of c is 1 in row w(j), its bottom-most nonzero row, and 0 in
+    the rows w(k) for k < j; u is upper triangular with the pivots on its
+    diagonal and the subtracted coefficients above it.  Raises Singular.
+    """
+    n = len(g)
+    cols = [[g[i][j] for i in range(n)] for j in range(n)]
+    u = [[ZERO] * n for _ in range(n)]
+    pivots: list[int] = []
+    for j in range(n):
+        col = cols[j]
+        for jp, p in enumerate(pivots):
+            if col[p] != 0:
+                f = u[jp][j] = col[p]
+                col[:] = [x - f * y if y else x for x, y in zip(col, cols[jp])]
+        p = max((i for i in range(n) if col[i] != 0), default=None)
+        if p is None:
+            raise Singular("matrix is singular")
+        f = u[j][j] = col[p]
+        if f != 1:
+            col[:] = [x / f if x else x for x in col]
+        pivots.append(p)
+    return transpose(cols), tuple(p + 1 for p in pivots), tuple(map(tuple, u))
+
+
 def bruhat_factor_plus(g: Mat) -> tuple[Mat, Perm, Mat]:
     """Factor g = b1 * rep_weyl(w) * b2 with b1, b2 upper triangular.
 
-    The permutation is determined by the pivot pattern: processing columns
-    left to right, the pivot of column j is the largest not-yet-used row
-    with a nonzero entry, which realizes the jump pattern of the ranks of
-    the lower-left submatrices g[i..n, 1..j].  Reconstruction is verified
-    before returning, as g = b1 * m on the eliminated matrix m: since
-    b2 = rep_weyl_inv(w) * m and rep_weyl_inv checks its inverse, this
-    proves g = b1 * rep_weyl(w) * b2.
+    Read from the column echelon g = c * u: b1 = c * P_w^{-1} puts the 1 of
+    each column of c on the diagonal, so b1 is the unique left factor in
+    U_w = U^+ ∩ rep(w) U^- rep(w)^{-1}, and b2 = s * u for the signs s with
+    rep_weyl(w) = P_w * s.  Triangularity and g = b1 * (rep_weyl(w) * b2)
+    are verified before returning.
     """
-    n = len(g)
-    m = [list(row) for row in g]
-    b1 = [list(row) for row in identity_mat(n)]
-    used = [False] * n
-    images = [0] * n
-    for j in range(n):
-        p = max((i for i in range(n) if not used[i] and m[i][j] != 0), default=None)
-        if p is None:
-            raise Singular("matrix is singular")
-        used[p] = True
-        images[j] = p + 1
-        # clear all rows above the pivot; row p is zero in columns < j, so
-        # earlier columns are untouched, and only its nonzero entries act
-        pivot_row = [(k, y) for k, y in enumerate(m[p]) if y]
-        for i in range(p):
-            if m[i][j] != 0:
-                f = m[i][j] / m[p][j]
-                row = m[i]
-                for k, y in pivot_row:
-                    row[k] -= f * y
-                # b1 := b1 * (I + f e_{i,p})
-                for r in range(n):
-                    if b1[r][i] != 0:
-                        b1[r][p] += f * b1[r][i]
-    w = tuple(images)
-    b1_m = tuple(tuple(row) for row in b1)
-    n_m = tuple(tuple(row) for row in m)
-    b2 = mat_mul(rep_weyl_inv(w), n_m)
-    if not (is_upper_triangular(b1_m) and is_upper_triangular(b2)):
+    c, w, u = column_echelon(g)
+    rep = rep_weyl(w)
+    columns = [k - 1 for k in weyl.inverse(w)]
+    b1 = tuple(tuple(row[k] for k in columns) for row in c)
+    b2 = tuple(row if rep[image - 1][j] == 1 else tuple(-x for x in row)
+               for j, (image, row) in enumerate(zip(w, u)))
+    if not (is_upper_triangular(b1) and is_upper_triangular(b2)):
         raise Singular("Bruhat factorization produced a non-triangular factor")
-    if mat_mul(b1_m, n_m) != g:
+    if mat_mul(b1, mat_mul(rep, b2)) != g:
         raise Singular("Bruhat factorization failed to reconstruct the input")
-    return b1_m, w, b2
+    return b1, w, b2
 
 
 def opposite_big_cell_factor(g: Mat) -> Mat:
     """The unique upper-unitriangular x with g * B^+ = x * B^-.
 
     x is the left factor of the Bruhat factorization g = x * rep_weyl(w0) * b,
-    unitriangular because bruhat_factor_plus only subtracts multiples of a
-    pivot row from rows above it.  Raises NotInBigCell when g is not in the
-    cell of w0, that is when a trailing principal minor of
-    g * rep_weyl(w0)^{-1} vanishes.
+    unitriangular because the column echelon c has a 1 at each pivot and
+    zeros below it, and unique because U_{w0} = U^+.  Raises NotInBigCell
+    when g is not in the cell of w0, that is when a trailing principal
+    minor of g * rep_weyl(w0)^{-1} vanishes.
     """
     x, w, _ = bruhat_factor_plus(g)
     if w != weyl.longest_element(len(g)):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -7,6 +8,11 @@ from tnnflag import linalg, weyl
 from tnnflag.errors import ParamCountMismatch, ShapeMismatch
 from tnnflag.flag import act, b_minus, b_plus, stratum
 from tnnflag.linalg import Rat, gen_x, gen_y, mat_mul, identity_mat, y_product
+
+
+def report_text(report):
+    """An audit report as the CLI prints it."""
+    return json.dumps(report.to_json(), sort_keys=True, indent=2)
 
 
 def rand_rat(rng: random.Random, positive: bool = False):
@@ -29,6 +35,41 @@ def random_sl(n: int, rng: random.Random):
         gen = gen_x if rng.random() < 0.5 else gen_y
         g = mat_mul(g, gen(n, i, rand_rat(rng)))
     return g
+
+
+def sparse_sl(n: int, rng: random.Random):
+    """Random element of SL_n(Q) with small integer entries, mostly zero:
+    entries drawn from {0, 0, 0, 1, -1, 2}, the first column divided by
+    the determinant."""
+    while True:
+        g = [[Rat(rng.choice((0, 0, 0, 1, -1, 2))) for _ in range(n)]
+             for _ in range(n)]
+        d = leibniz_det(g)
+        if d:
+            return tuple(tuple(x / d if j == 0 else x for j, x in enumerate(row))
+                         for row in g)
+
+
+def cell_point(w, rng: random.Random):
+    """u * P_w * b in the Bruhat cell B^+ w B^+, of determinant 1.
+
+    u is upper unitriangular, P_w the permutation matrix with 1 at
+    (w(j), j), and b upper triangular; both have random sparse entries.
+    """
+    n = len(w)
+
+    def entry(i, j):
+        return rand_rat(rng) if j > i and rng.random() < 0.6 else Rat(0)
+
+    u = [[Rat(1) if i == j else entry(i, j) for j in range(n)] for i in range(n)]
+    p = [[Rat(int(w[j] == i + 1)) for j in range(n)] for i in range(n)]
+    diag = [rand_rat(rng) for _ in range(n - 1)]
+    last = Rat(-1 if weyl.length(w) % 2 else 1)
+    for d in diag:
+        last /= d
+    diag.append(last)
+    b = [[diag[i] if i == j else entry(i, j) for j in range(n)] for i in range(n)]
+    return ref_mat_mul(ref_mat_mul(u, p), b)
 
 
 def ref_mat_mul(a, b):

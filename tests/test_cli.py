@@ -1,9 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tnnflag import richardson
+from tnnflag import linalg, richardson, weyl
 from tnnflag.cli import main
 from tnnflag.errors import InternalInconsistency
 
@@ -191,6 +196,42 @@ class TestClassify:
         code, _ = run(capsys, "classify", str(f))
         assert code == 6
 
+    def test_not_in_big_cell(self, capsys, tmp_path):
+        # in the open cell of SL_3, but outside the image of its chart
+        f = tmp_path / "m.json"
+        f.write_text("[[1,1,-1],[0,-1,-1],[-1,-1,0]]")
+        code, out = run(capsys, "classify", str(f))
+        assert code == 0
+        assert json.loads(out) == {"coords": [], "nonneg": False,
+                                   "reason": "NotInBigCell", "w": "1,2,3",
+                                   "wp": "3,2,1"}
+
+    def test_deeply_nested(self, capsys, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text("[" * 100000)
+        code, out, err = run_err(capsys, "classify", str(f))
+        assert code == 5
+        assert out == "" and len(err.splitlines()) == 1
+
+    def test_oversized_rejected_before_conversion(self, capsys, tmp_path,
+                                                  monkeypatch):
+        converted = []
+        monkeypatch.setattr(linalg, "rat", lambda x: converted.append(x))
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps([[int(i == j) for j in range(1000)]
+                                 for i in range(1000)]))
+        code, out, err = run_err(capsys, "classify", str(f))
+        assert code == 2
+        assert out == "" and err == "n must be in 2..6, got 1000\n"
+        assert converted == []
+
+    def test_too_many_rows_is_a_rank_error(self, capsys, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps([["x"]] * 7))
+        code, out, err = run_err(capsys, "classify", str(f))
+        assert code == 2
+        assert out == "" and len(err.splitlines()) == 1
+
 
 class TestAudit:
     def test_clean_run(self, capsys, tmp_path):
@@ -213,6 +254,160 @@ class TestAudit:
     def test_rank_bound(self, capsys):
         code, _ = run(capsys, "audit", "--n", "7")
         assert code == 2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["cells"],
+        ["cells", "--n", "x"],
+        ["eval", "--n", "3", "--w", "1,2,3", "--wp", "3,2,1",
+         "--params", "-1/2,3,1"],
+        ["bogus"],
+        ["cells", "--n", "2", "extra\nargument"],
+    ], ids=["missing", "not-int", "negative-params", "command", "newline"])
+    def test_exit_5(self, capsys, argv):
+        code, out, err = run_err(capsys, *argv)
+        assert code == 5
+        assert out == "" and len(err.splitlines()) == 1
+
+    def test_negative_params_with_equals(self, capsys):
+        code, out = run(capsys, "eval", "--n", "3", "--w", "1,2,3",
+                        "--wp", "3,2,1", "--params=-1/2,3,1")
+        assert code == 0
+        assert json.loads(out)["params"] == ["-1/2", "3", "1"]
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cells", "-h"])
+        assert exc.value.code == 0
+        assert "--n" in capsys.readouterr().out
+
+
+def run_io(argv, stdin="", max_rank=None):
+    """main(argv) with stdin, stdout, stderr and RTNN_MAX_RANK in memory."""
+    saved_stdin, saved_rank = sys.stdin, os.environ.pop("RTNN_MAX_RANK", None)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        sys.stdin = io.StringIO(stdin)
+        if max_rank is not None:
+            os.environ["RTNN_MAX_RANK"] = max_rank
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved_stdin
+        os.environ.pop("RTNN_MAX_RANK", None)
+        if saved_rank is not None:
+            os.environ["RTNN_MAX_RANK"] = saved_rank
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(code, out, err):
+    """Valid JSON and exit 0, or a documented code with one stderr line."""
+    if code == 0:
+        json.loads(out)
+        assert err == ""
+    else:
+        assert 2 <= code <= 6, (code, err)
+        assert out == ""
+        assert err.endswith("\n") and len(err.splitlines()) == 1, err
+
+
+def _is_large_int(text):
+    try:
+        return int(text) > 6
+    except ValueError:
+        return False
+
+
+ENV_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                 blacklist_characters="\x00"), max_size=4)
+# never a rank above 6, so no example runs a large census
+MAX_RANK = st.one_of(st.none(), st.just("6"), st.integers(-2, 6).map(str),
+                     ENV_TEXT.filter(lambda t: not _is_large_int(t)))
+RATIONAL = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.tuples(st.integers(-9, 9), st.integers(-2, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["0.5", "-1.25", "1e2", "", " ", "1/0", "nan", "x"]),
+    st.text(max_size=4),
+)
+CONTRACT = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def perm_text(draw, n, fmt):
+    if draw(st.booleans()):
+        return draw(st.text(max_size=6))
+    if fmt == "word":
+        letters = draw(st.lists(st.integers(-1, n), max_size=6))
+        return " ".join(f"s{i}" for i in letters)
+    return ",".join(map(str, draw(st.permutations(range(1, n + 1)))))
+
+
+@st.composite
+def eval_argv(draw):
+    n = draw(st.integers(2, 5))
+    fmt = draw(st.sampled_from(["oneline", "word"]))
+    dim = 0
+    if draw(st.booleans()):
+        # a valid pair, so that many examples evaluate a chart
+        w, wp = draw(st.sampled_from(weyl.bruhat_pairs(n)))
+        dim = weyl.length(wp) - weyl.length(w)
+        if fmt == "word":
+            w, wp = (" ".join(f"s{i}" for i in weyl.reduced_word(v)) for v in (w, wp))
+        else:
+            w, wp = weyl.perm_to_str(w), weyl.perm_to_str(wp)
+    else:
+        w, wp = draw(perm_text(n, fmt)), draw(perm_text(n, fmt))
+    small = st.integers(-3, 3).map(str)
+    params = draw(st.one_of(st.lists(small, min_size=dim, max_size=dim),
+                            st.lists(RATIONAL, max_size=8)).map(",".join)
+                  | st.text(max_size=8))
+    n_text = draw(st.one_of(st.just(str(n)), st.just(str(n)), st.text(max_size=3)))
+    # the bare form takes a leading '-' for an option: a usage error
+    params = ["--params=" + params] if draw(st.booleans()) else ["--params", params]
+    return ["eval", "--n", n_text, "--w", w, "--wp", wp, "--format", fmt, *params]
+
+
+@st.composite
+def matrix_text(draw):
+    kind = draw(st.sampled_from(["text", "entries", "det1"]))
+    n = draw(st.integers(1 if kind == "entries" else 2, 4))
+    if kind == "text":
+        return draw(st.text(max_size=30))
+    if kind == "entries":
+        entry = st.one_of(st.integers(-3, 3), RATIONAL, st.booleans(),
+                          st.none(), st.floats(allow_nan=False, width=16))
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                             min_size=1, max_size=n + 1))
+        return json.dumps(rows)
+    # lower times upper unitriangular: determinant 1
+    small = st.integers(-2, 2)
+    lower = [[1 if i == j else draw(small) if j < i else 0 for j in range(n)]
+             for i in range(n)]
+    upper = [[1 if i == j else draw(small) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+    return json.dumps([[sum(lower[i][k] * upper[k][j] for k in range(n))
+                        for j in range(n)] for i in range(n)])
+
+
+class TestContract:
+    """Every input ends in JSON and exit 0, or a documented code and one line."""
+
+    @CONTRACT
+    @given(argv=eval_argv(), max_rank=MAX_RANK)
+    def test_eval(self, argv, max_rank):
+        assert_contract(*run_io(argv, max_rank=max_rank))
+
+    @CONTRACT
+    @given(stdin=matrix_text(), max_rank=MAX_RANK)
+    def test_classify(self, stdin, max_rank):
+        assert_contract(*run_io(["classify", "-"], stdin, max_rank))
+
+    @CONTRACT
+    @given(n=st.one_of(st.integers(-1, 4).map(str), st.text(max_size=3)),
+           max_rank=MAX_RANK)
+    def test_cells(self, n, max_rank):
+        assert_contract(*run_io(["cells", "--n", n], max_rank=max_rank))
 
 
 class TestOutputIsJson:

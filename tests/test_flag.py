@@ -3,16 +3,17 @@ import random
 import pytest
 
 from conftest import (
-    codim_check, rand_params, rand_rat, random_sl, rank_relative_position,
+    cell_point, codim_check, rand_params, rand_rat, random_sl, rank_relative_position,
     ref_mat_mul,
 )
 from tnnflag import flag, linalg, richardson, weyl
 from tnnflag.errors import Singular
 from tnnflag.flag import (
-    BorelPt, act, b_minus, b_plus, borel_from, relative_position, stratum,
+    act, b_minus, b_plus, borel_from, relative_position, stratum,
 )
 from tnnflag.linalg import (
-    Rat, gen_x, gen_y, identity_mat, mat, mat_inv, mat_mul, rep_weyl,
+    Rat, gen_x, gen_y, identity_mat, mat, mat_from_json, mat_inv, mat_mul,
+    rep_weyl,
 )
 
 
@@ -39,6 +40,21 @@ class TestBorelFrom:
     def test_non_unimodular_rejected(self):
         with pytest.raises(Singular):
             borel_from(mat([[2, 0], [0, 1]]))
+
+    def test_rep_is_the_left_bruhat_factor(self):
+        # the canonical rep is b1 * P_w, its last column negated when w is odd
+        rng = random.Random(3)
+        for n in (2, 3, 4):
+            for w in weyl.all_perms(n):
+                for _ in range(3):
+                    g = cell_point(w, rng)
+                    b1, _, _ = linalg.bruhat_factor_plus(g)
+                    sign = -1 if weyl.length(w) % 2 else 1
+                    expected = tuple(
+                        tuple(row[w[j] - 1] * (sign if j == n - 1 else 1)
+                              for j in range(n))
+                        for row in b1)
+                    assert borel_from(g).rep == expected
 
     def test_det_one(self):
         rng = random.Random(2)
@@ -229,4 +245,4 @@ class TestCodim:
 class TestSerialization:
     def test_roundtrip(self):
         b = act(gen_y(3, 1, Rat(2, 3)), b_plus(3))
-        assert BorelPt.from_json(b.to_json()) == b
+        assert borel_from(mat_from_json(b.to_json()["borel_rep"])) == b

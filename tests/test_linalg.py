@@ -5,7 +5,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import is_upper_unitriangular, rand_rat, random_sl, ref_mat_mul
+from conftest import (
+    cell_point, is_upper_unitriangular, rand_rat, random_sl, ref_mat_mul,
+)
 from tnnflag import linalg, richardson, weyl
 from tnnflag.errors import IndexOutOfRange, NotInBigCell, ShapeMismatch, Singular
 from tnnflag.flag import act, borel_from
@@ -149,6 +151,23 @@ class TestBruhatFactor:
                 assert linalg.is_upper_triangular(b1)
                 assert linalg.is_upper_triangular(b2)
                 assert mat_mul(b1, mat_mul(rep_weyl(w), b2)) == g
+
+
+    def test_left_factor_in_u_w(self):
+        # b1 is the unique left factor in U_w: unitriangular, with
+        # off-diagonal entries only at (i, l) with i < l and w^-1(i) > w^-1(l)
+        rng = random.Random(11)
+        for n in (2, 3, 4):
+            for w in weyl.all_perms(n):
+                inv = weyl.inverse(w)
+                for _ in range(3):
+                    b1, got, _ = bruhat_factor_plus(cell_point(w, rng))
+                    assert got == w
+                    for i in range(n):
+                        assert b1[i][i] == 1
+                        for l in range(n):
+                            if i != l and b1[i][l] != 0:
+                                assert i < l and inv[i] > inv[l], (w, b1)
 
 
 def _scaled_to_det_one(entries):

@@ -5,7 +5,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import (
     flag_minors_tnn, key_chart_lower, key_chart_upper, rand_params, rand_rat,
-    random_sl,
+    random_sl, sparse_sl,
 )
 from tnnflag import linalg, richardson, weyl
 from tnnflag.errors import (
@@ -413,7 +413,8 @@ class TestClassify:
             assert not classify(act(y, b_neg)).nonneg
 
     # random flags and chart images of random pairs, boundary cells included,
-    # half of them with mixed-sign parameters
+    # half of them with mixed-sign parameters; sparse small-integer flags
+    # reach the failure verdict NotInBigCell at every n
     @pytest.mark.parametrize("n, count", [(3, 100), (4, 80), (5, 40)])
     def test_verdict_matches_flag_minor_oracle(self, n, count):
         rng = random.Random(60 + n)
@@ -423,12 +424,16 @@ class TestClassify:
             chart = build_chart(*rng.choice(pairs))
             positive = rng.random() < 0.5
             flags.append(eval_chart(chart, rand_params(rng, chart.dim, positive)))
-        verdicts = set()
+        flags += [borel_from(sparse_sl(n, rng)) for _ in range(count)]
+        verdicts, reasons = set(), set()
         for b in flags:
             expected = flag_minors_tnn(b.rep)
-            assert classify(b).nonneg == expected, linalg.mat_to_json(b.rep)
+            result = classify(b)
+            assert result.nonneg == expected, linalg.mat_to_json(b.rep)
             verdicts.add(expected)
+            reasons.add(result.reason)
         assert verdicts == {True, False}
+        assert "NotInBigCell" in reasons
 
     def test_result_serialization(self):
         result = classify(act(gen_y(2, 1, Rat(1, 3)), b_plus(2)))

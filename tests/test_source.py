@@ -41,3 +41,30 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+# every cache below lives as long as the process; a new one fails this test
+# until it is listed here on purpose
+CACHED = {
+    "linalg.rep_weyl", "linalg.rep_weyl_inv",
+    "richardson.base_point", "richardson.build_chart",
+    "richardson.conjugator_word", "richardson._conjugator",
+    "weyl.bruhat_pairs",
+}
+
+
+def cached_functions(path: Path) -> set[str]:
+    """module.function for each function decorated with a functools cache."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                target = getattr(decorator, "func", decorator)
+                name = getattr(target, "attr", getattr(target, "id", None))
+                if name in ("lru_cache", "cache"):
+                    found.add(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_caches_are_allowlisted():
+    assert set().union(*map(cached_functions, MODULES)) == CACHED

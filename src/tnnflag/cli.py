@@ -13,6 +13,7 @@ exponent notation such as '1e2' exit 5.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -64,36 +65,44 @@ def _parse_params(text: str) -> list:
     return [linalg.rat(tok.strip()) for tok in text.split(",")]
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+def _open_output(args):
+    """The --output file for writing, or stdout for '-'."""
     if args.output and args.output != "-":
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+        return open(args.output, "w")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _emit(args, payload: dict) -> None:
+    with _open_output(args) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+# one element of the "cells" list as json.dumps(..., indent=2) lays it out
+_CELL = ('    {{\n      "dim": {},\n      "shape": {},\n      "w": {},\n'
+         '      "wp": {}\n    }}')
 
 
 def cmd_cells(args) -> int:
+    """Write the census as _emit would, one cell at a time.
+
+    Every chart is built before the output is opened, so a failed check
+    writes nothing.
+    """
     _check_rank(args.n)
-    cells = []
-    top_dim = 0
-    for w, wp in weyl.bruhat_pairs(args.n):
-        chart = richardson.build_chart(w, wp)
-        if chart.dim > top_dim:
-            top_dim = chart.dim
-        cells.append({
-            "w": weyl.perm_to_str(w),
-            "wp": weyl.perm_to_str(wp),
-            "dim": chart.dim,
-            "shape": chart.shape(),
-        })
-    payload = {
-        "n": args.n,
-        "cells": cells,
-        "count": len(cells),
-        "top_dimensional_cells": sum(1 for c in cells if c["dim"] == top_dim),
-    }
-    _emit(args, payload)
+    charts = [richardson.build_chart(w, wp) for w, wp in weyl.bruhat_pairs(args.n)]
+    top_dim = max(chart.dim for chart in charts)
+    with _open_output(args) as fh:
+        fh.write('{\n  "cells": [')
+        for k, chart in enumerate(charts):
+            fh.write(",\n" if k else "\n")
+            fh.write(_CELL.format(
+                chart.dim, json.dumps(chart.shape()),
+                json.dumps(weyl.perm_to_str(chart.index.w)),
+                json.dumps(weyl.perm_to_str(chart.index.wp)),
+            ))
+        fh.write(f'\n  ],\n  "count": {len(charts)},\n  "n": {args.n},\n'
+                 f'  "top_dimensional_cells": '
+                 f'{sum(chart.dim == top_dim for chart in charts)}\n}}\n')
     return 0
 
 
@@ -117,6 +126,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    # an invalid rank bound is reported before the input is read
+    limit = weyl.max_rank()
     if args.matrix_file == "-":
         raw = sys.stdin.read()
     else:
@@ -129,7 +140,7 @@ def cmd_classify(args) -> int:
     if isinstance(rows, dict):
         rows = rows.get("borel_rep", rows)
     # reject an oversized matrix before converting its entries
-    if isinstance(rows, list) and len(rows) > weyl.max_rank():
+    if isinstance(rows, list) and len(rows) > limit:
         _check_rank(len(rows))
     g = linalg.mat_from_json(rows)
     _check_rank(len(g))

@@ -310,4 +310,7 @@ def mat_from_json(rows: list[list[str]]) -> Mat:
     if not (isinstance(rows, list) and rows
             and all(isinstance(row, list) for row in rows)):
         raise ShapeMismatch("matrix must be a nonempty array of rows")
+    # checked before any entry is converted, whatever the length of a row
+    if any(len(row) != len(rows) for row in rows):
+        raise ShapeMismatch("matrix must be square")
     return mat(tuple(tuple(rat(x) for x in row) for row in rows))

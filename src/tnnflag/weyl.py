@@ -12,6 +12,7 @@ the entries of ``w`` at positions ``i`` and ``i+1``).
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -151,15 +152,20 @@ def bruhat_leq(u: Perm, w: Perm) -> bool:
 
     #{i <= k : u(i) >= j} <= #{i <= k : w(i) >= j} holds for every j exactly
     when sorted(u[:k]) <= sorted(w[:k]) entrywise (the tableau criterion,
-    Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 2).
+    Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 2).  The sorted
+    prefixes of each permutation are computed once, as one flat key.
     """
     if len(u) != len(w):
         raise RankMismatch(f"ranks differ: {len(u)} vs {len(w)}")
-    return all(
-        x <= y
-        for k in range(1, len(u))
-        for x, y in zip(sorted(u[:k]), sorted(w[:k]))
-    )
+    return all(map(operator.le, _prefix_key(u), _prefix_key(w)))
+
+
+# S_6 has 720 elements; a bound a few times that keeps every rank up to
+# the default bound cached while capping memory at larger bounds
+@lru_cache(maxsize=4096)
+def _prefix_key(w: Perm) -> tuple[int, ...]:
+    """sorted(w[:k]) for k = 1..n-1, concatenated."""
+    return tuple(x for k in range(1, len(w)) for x in sorted(w[:k]))
 
 
 def all_perms(n: int) -> list[Perm]:
@@ -167,14 +173,46 @@ def all_perms(n: int) -> list[Perm]:
     return sorted(itertools.permutations(range(1, n + 1)), key=lambda p: (length(p), p))
 
 
+def _upper_covers(u: Perm) -> Iterator[Perm]:
+    """The v covering u in Bruhat order: u with the entries at positions
+    i < j swapped, where u(i) < u(j) and no k in (i, j) has u(i) < u(k) < u(j)
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 2)."""
+    n = len(u)
+    for i in range(n):
+        low, high = u[i], n + 1
+        for j in range(i + 1, n):
+            if low < u[j] < high:
+                high = u[j]
+                v = list(u)
+                v[i], v[j] = v[j], v[i]
+                yield tuple(v)
+
+
 @lru_cache(maxsize=None)
 def bruhat_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
-    """All pairs (w, w') with w <= w', in a fixed deterministic order."""
+    """All pairs (w, w') with w <= w', ordered by w, then by w', each in
+    the order of ``all_perms``.
+
+    Each upper interval [u, w0] is u together with the upper intervals of
+    the covers of u, which come later in ``all_perms``; walking it backwards
+    builds every interval as a bitset over ``all_perms`` without testing
+    all (n!)^2 pairs.
+    """
     if n > max_rank():
         raise RankTooLarge(f"n={n} exceeds the rank bound {max_rank()}")
     perms = all_perms(n)
+    position = {w: k for k, w in enumerate(perms)}
+    upper = [0] * len(perms)
+    for k in reversed(range(len(perms))):
+        bits = 1 << k
+        for v in _upper_covers(perms[k]):
+            bits |= upper[position[v]]
+        upper[k] = bits
     return tuple(
-        (u, w) for u in perms for w in perms if bruhat_leq(u, w)
+        (u, w)
+        for u, bits in zip(perms, upper)
+        # bin() lists the bits high to low; reversed, character k is bit k
+        for w in itertools.compress(perms, map("1".__eq__, bin(bits)[:1:-1]))
     )
 
 
@@ -184,25 +222,25 @@ def peel(w: Perm, wp: Perm) -> Perm:
     The v that are length-additive with w form a lower interval of the
     right weak order, so those additive with both w and w' form the
     intersection of two lower intervals, which has a unique maximum (the
-    weak order is a lattice).  Extending by one common ascent at a time,
-    smallest index first, reaches it whatever the order.  For the returned
-    v, every simple s lengthening wv shortens w'v.
+    weak order is a lattice).  Extending by one common ascent at a time
+    reaches it whatever the order.  The scan goes up the positions and
+    steps back one after each swap, the only earlier position a swap at i
+    can turn into a common ascent.  For the returned v, every simple s
+    lengthening wv shortens w'v.
     """
     if not bruhat_leq(w, wp):
         raise NotComparable(f"{w} is not <= {wp} in Bruhat order")
     n = len(w)
-    v = identity(n)
-    wv, wpv = w, wp
-    while True:
-        for i in range(1, n):
-            if is_right_ascent(wv, i) and is_right_ascent(wpv, i):
-                v = right_mult_simple(v, i)
-                wv = right_mult_simple(wv, i)
-                wpv = right_mult_simple(wpv, i)
-                break
+    v, wv, wpv = list(range(1, n + 1)), list(w), list(wp)
+    i = 1
+    while i < n:
+        if wv[i - 1] < wv[i] and wpv[i - 1] < wpv[i]:
+            for p in (v, wv, wpv):
+                p[i - 1], p[i] = p[i], p[i - 1]
+            i = max(i - 1, 1)
         else:
-            break
-    return v
+            i += 1
+    return tuple(v)
 
 
 def find_descent_pair(w: Perm, wp: Perm) -> int:
@@ -214,7 +252,7 @@ def find_descent_pair(w: Perm, wp: Perm) -> int:
 
 
 def perm_to_str(w: Perm) -> str:
-    return ",".join(str(k) for k in w)
+    return ",".join(map(str, w))
 
 
 def perm_from_str(s: str) -> Perm:

@@ -99,6 +99,22 @@ def subword_leq(u, w):
     return False
 
 
+def ref_peel(w, wp):
+    """weyl.peel as a plain loop: after each common ascent, rescan from s_1."""
+    n = len(w)
+    v = weyl.identity(n)
+    wv, wpv = w, wp
+    while True:
+        for i in range(1, n):
+            if weyl.is_right_ascent(wv, i) and weyl.is_right_ascent(wpv, i):
+                v = weyl.right_mult_simple(v, i)
+                wv = weyl.right_mult_simple(wv, i)
+                wpv = weyl.right_mult_simple(wpv, i)
+                break
+        else:
+            return v
+
+
 def rank(rows):
     """Rank of a (not necessarily square) exact matrix."""
     m = [list(row) for row in rows]

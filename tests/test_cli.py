@@ -4,6 +4,7 @@ import io
 import json
 import os
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,9 +38,35 @@ class TestCells:
         assert code == 0
         assert json.loads(out)["count"] == 19
 
-    def test_invalid_n(self, capsys):
-        code, _ = run(capsys, "cells", "--n", "9")
-        assert code == 2
+    def test_invalid_n(self, capsys, tmp_path):
+        code, out = run(capsys, "cells", "--n", "9")
+        assert code == 2 and out == ""
+        path = tmp_path / "cells.json"
+        code, out = run(capsys, "cells", "--n", "9", "--output", str(path))
+        assert code == 2 and out == ""
+        assert not path.exists()
+
+    # the streamed writer must print what json.dumps prints for the payload
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_streamed_output_matches_json_dumps(self, capsys, tmp_path, n):
+        charts = [richardson.build_chart(w, wp) for w, wp in weyl.bruhat_pairs(n)]
+        top = max(chart.dim for chart in charts)
+        payload = {
+            "n": n,
+            "cells": [{"w": weyl.perm_to_str(chart.index.w),
+                       "wp": weyl.perm_to_str(chart.index.wp),
+                       "dim": chart.dim, "shape": chart.shape()}
+                      for chart in charts],
+            "count": len(charts),
+            "top_dimensional_cells": sum(chart.dim == top for chart in charts),
+        }
+        expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        code, out = run(capsys, "cells", "--n", str(n))
+        assert code == 0 and out == expected
+        path = tmp_path / "cells.json"
+        code, out = run(capsys, "cells", "--n", str(n), "--output", str(path))
+        assert code == 0 and out == ""
+        assert path.read_text() == expected
 
     # digests of the output of the recursive charts that the flat step
     # lists replaced: every chart shape must stay byte-identical
@@ -224,6 +251,22 @@ class TestClassify:
         assert code == 2
         assert out == "" and err == "n must be in 2..6, got 1000\n"
         assert converted == []
+
+    def test_long_row_rejected_before_conversion(self, capsys, tmp_path):
+        # converting the million entries first took seconds
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps([["1"] * 1000000, ["1"]]))
+        start = time.perf_counter()
+        code, out, err = run_err(capsys, "classify", str(f))
+        assert time.perf_counter() - start < 0.5
+        assert code == 5
+        assert out == "" and err == "matrix must be square\n"
+
+    def test_rank_bound_read_before_input(self):
+        code, out, err = run_io(["classify", "-"], "5", max_rank="abc")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "RTNN_MAX_RANK" in err
 
     def test_too_many_rows_is_a_rank_error(self, capsys, tmp_path):
         f = tmp_path / "m.json"
@@ -431,3 +474,20 @@ class TestInternalError:
         assert code == 7
         assert out == ""
         assert err == "chart contract violated\n"
+
+    def test_failed_check_creates_no_output_file(self, capsys, monkeypatch,
+                                                tmp_path):
+        # cells builds every chart before it opens the output
+        real, built = richardson.build_chart, []
+
+        def fail_on_last(w, wp):
+            built.append((w, wp))
+            if len(built) == len(weyl.bruhat_pairs(3)):
+                raise InternalInconsistency("chart contract violated")
+            return real(w, wp)
+
+        monkeypatch.setattr(richardson, "build_chart", fail_on_last)
+        path = tmp_path / "cells.json"
+        code, out, _ = run_err(capsys, "cells", "--n", "3", "--output", str(path))
+        assert code == 7 and out == ""
+        assert not path.exists()

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import dominance_table, subword_leq
+from conftest import dominance_table, ref_peel, subword_leq
 from tnnflag import weyl
 from tnnflag.errors import NoDescentPair, NotComparable, RankMismatch, RankTooLarge
 
@@ -142,6 +142,17 @@ class TestBruhatPairs:
     def test_count_matches_oeis(self, n, count):
         assert len(weyl.bruhat_pairs(n)) == count
 
+    # the cover walk must list the brute-force pairs in the brute-force order
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_order_matches_dominance_oracle(self, n):
+        perms = weyl.all_perms(n)
+        tables = {w: dominance_table(w) for w in perms}
+        expected = tuple(
+            (u, w) for u in perms for w in perms
+            if all(a <= b for a, b in zip(tables[u], tables[w]))
+        )
+        assert weyl.bruhat_pairs(n) == expected
+
     def test_rank_bound(self):
         with pytest.raises(RankTooLarge):
             weyl.bruhat_pairs(9)
@@ -171,6 +182,11 @@ class TestPeel:
                 for i in range(1, n):
                     assert not (weyl.is_right_ascent(wv, i)
                                 and weyl.is_right_ascent(wpv, i))
+
+    def test_matches_restarting_scan(self):
+        for n in (1, 2, 3, 4, 5):
+            for w, wp in weyl.bruhat_pairs(n):
+                assert weyl.peel(w, wp) == ref_peel(w, wp), (w, wp)
 
     def test_v_is_the_unique_maximum(self):
         # every v additive with both w and w' is a prefix of the peeled v,

@@ -5,8 +5,9 @@ representative, so that coset equality is plain tuple equality.  The
 canonical form is ``linalg.column_echelon``, which is unique modulo right
 multiplication by upper triangular matrices: bottom-most pivots are
 normalized to 1 and cleared rightward, and the last column is negated
-when needed so the representative has determinant 1.  The determinant of
-the input is read from the same echelon.
+when needed so the representative has determinant 1.  The echelon runs
+on integers and proves g = c * u before it returns, and the determinant
+of the input is read from its pivot product.
 
 The relative position of two flags is the Bruhat cell B^+ w B^+ of
 rep1^{-1} * rep2, read from ``linalg.bruhat_factor_plus``; the stratum of a
@@ -15,7 +16,6 @@ flag is its pair of relative positions from B^+ and from B^-.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import linalg, weyl
@@ -43,15 +43,16 @@ def borel_from(g: Mat) -> BorelPt:
 
     The representative is c from the column echelon g = c * u, with its last
     column negated when w is odd.  det(c) = sgn(w) and u is triangular, so
-    det(g) = sgn(w) * prod(pivots) is read from the diagonal of u without a
-    separate elimination.
+    det(g) = sgn(w) * det(u) is read from the pivot product that the echelon
+    returns, without a separate elimination.  The echelon proves g = c * u
+    in integers before it returns.
     """
     try:
-        c, w, u = linalg.column_echelon(g)
+        c, w, pivot_product = linalg.column_echelon(g)
     except Singular:
         raise Singular("representative must have determinant 1") from None
     odd = weyl.length(w) % 2
-    if math.prod(u[j][j] for j in range(len(g))) != (-1 if odd else 1):
+    if pivot_product != (-1 if odd else 1):
         raise Singular("representative must have determinant 1")
     if odd:
         c = tuple(row[:-1] + (-row[-1],) for row in c)

@@ -13,10 +13,18 @@ upper-unitriangular witness of a Borel opposite to B^- is its b1 when
 w = w0.  The representative of w is a signed permutation matrix in closed
 form, so its inverse is its transpose; no reduced word and no elimination
 is needed for either.
+
+The echelon is fraction-free: it clears denominators column by column,
+eliminates on Python ints by cross-multiplication with content removal,
+and proves its result in integers before it converts c back to
+rationals.  That proof is the reconstruction check of the Bruhat
+factorization as well.  ``mat_mul``, ``det`` and ``mat_inv`` stay
+rational.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -233,54 +241,111 @@ def y_product(n: int, letters: Sequence[int], params: Sequence) -> Mat:
 # Factorizations
 
 
-def column_echelon(g: Mat) -> tuple[Mat, Perm, Mat]:
+def column_echelon(g: Mat) -> tuple[Mat, Perm, "Rat"]:
     """The column echelon g = c * u, the one elimination behind the Bruhat
     factorization and the canonical coset representative.
 
     Column j of c is 1 in row w(j), its bottom-most nonzero row, and 0 in
-    the rows w(k) for k < j; u is upper triangular with the pivots on its
-    diagonal and the subtracted coefficients above it.  Raises Singular.
+    the rows w(k) for k < j; u is upper triangular.  Returns c, w and
+    det(u) = sgn(w) * det(g), the product of the pivots.  Raises Singular.
+
+    The elimination runs on Python ints.  G = g * D clears the
+    denominators of each column (D diagonal).  Column j is reduced against
+    the finished columns by cross-multiplication and divided by its
+    content, signed so that its pivot is positive; this is the primitive
+    integer column C_j, and c_j = C_j / pivot_j.  Alongside, T_j and S_j
+    keep G * T_j = S_j * C_j.  Before returning this is proved in
+    integers for every column, with T upper triangular with a nonzero
+    diagonal, S nonzero and C in echelon shape, so that
+    c = g * D * T * diag(1 / (S * pivots)) is a right multiple of g by an
+    invertible upper triangular matrix.
     """
     n = len(g)
-    cols = [[g[i][j] for i in range(n)] for j in range(n)]
-    u = [[ZERO] * n for _ in range(n)]
+    scales = []
+    cols = []
+    for column in zip(*g):
+        nums, dens = zip(*(x.as_integer_ratio() for x in column))
+        dens = tuple(map(int, dens))
+        d = math.lcm(*dens)
+        scales.append(d)
+        cols.append([p if q == d else p * (d // q) for p, q in zip(map(int, nums), dens)])
+    echelon: list[list[int]] = []
+    ts: list[list[int]] = []
+    ss: list[int] = []
     pivots: list[int] = []
     for j in range(n):
         col = cols[j]
-        for jp, p in enumerate(pivots):
-            if col[p] != 0:
-                f = u[jp][j] = col[p]
-                col[:] = [x - f * y if y else x for x, y in zip(col, cols[jp])]
-        p = max((i for i in range(n) if col[i] != 0), default=None)
+        t = [0] * n
+        t[j] = 1
+        sigma = 1  # G * t == sigma * col
+        for k, p in enumerate(pivots):
+            f = col[p]
+            if f:
+                s, s_k, c_k = echelon[k][p], ss[k], echelon[k]
+                col = [s * x - f * y for x, y in zip(col, c_k)]
+                t = [s * s_k * x - f * sigma * y for x, y in zip(t, ts[k])]
+                sigma *= s_k
+        p = next((i for i in range(n - 1, -1, -1) if col[i]), None)
         if p is None:
             raise Singular("matrix is singular")
-        f = u[j][j] = col[p]
-        if f != 1:
-            col[:] = [x / f if x else x for x in col]
+        content = math.gcd(*col)
+        if col[p] < 0:
+            content = -content
+        if content != 1:
+            col = [x // content for x in col]
+            sigma *= content
+        echelon.append(col)
+        r = math.gcd(sigma, *t)
+        if r != 1:
+            t = [x // r for x in t]
+            sigma //= r
+        ts.append(t)
+        ss.append(sigma)
         pivots.append(p)
-    return transpose(cols), tuple(p + 1 for p in pivots), tuple(map(tuple, u))
+    _prove_echelon(cols, echelon, ts, ss, pivots)
+    heads = [echelon[j][p] for j, p in enumerate(pivots)]
+    c = tuple(zip(*(
+        [Rat(x, head) if x else ZERO for x in column]
+        for column, head in zip(echelon, heads))))
+    num = den = 1
+    for j in range(n):
+        num *= heads[j] * ss[j]
+        den *= ts[j][j] * scales[j]
+    return c, tuple(p + 1 for p in pivots), Rat(num, den)
 
 
-def bruhat_factor_plus(g: Mat) -> tuple[Mat, Perm, Mat]:
-    """Factor g = b1 * rep_weyl(w) * b2 with b1, b2 upper triangular.
+def _prove_echelon(cols, echelon, ts, ss, pivots) -> None:
+    """Check G * T_j == S_j * C_j, T upper triangular with a nonzero
+    diagonal, S nonzero, and C in echelon shape, all in integers."""
+    n = len(cols)
+    for j, (t, c, p) in enumerate(zip(ts, echelon, pivots)):
+        if not t[j] or any(t[j + 1:]) or not ss[j]:
+            raise InternalInconsistency("column echelon: T is not triangular")
+        acc = [0] * n
+        for k in range(j + 1):
+            if t[k]:
+                acc = [a + t[k] * x for a, x in zip(acc, cols[k])]
+        if acc != [ss[j] * x for x in c]:
+            raise InternalInconsistency("column echelon failed to reconstruct the input")
+        if c[p] <= 0 or any(c[p + 1:]) or any(c[q] for q in pivots[:j]):
+            raise InternalInconsistency("column echelon is not in echelon shape")
+
+
+def bruhat_factor_plus(g: Mat) -> tuple[Mat, Perm]:
+    """The Bruhat factorization g = b1 * rep_weyl(w) * b2, as (b1, w).
 
     Read from the column echelon g = c * u: b1 = c * P_w^{-1} puts the 1 of
     each column of c on the diagonal, so b1 is the unique left factor in
-    U_w = U^+ ∩ rep(w) U^- rep(w)^{-1}, and b2 = s * u for the signs s with
-    rep_weyl(w) = P_w * s.  Triangularity and g = b1 * (rep_weyl(w) * b2)
-    are verified before returning.
+    U_w = U^+ ∩ rep(w) U^- rep(w)^{-1}, and b2 = s * u, upper triangular,
+    for the signs s with rep_weyl(w) = P_w * s.  ``column_echelon`` proves
+    g = c * u in integers; the triangularity of b1 is verified here.
     """
-    c, w, u = column_echelon(g)
-    rep = rep_weyl(w)
+    c, w, _ = column_echelon(g)
     columns = [k - 1 for k in weyl.inverse(w)]
     b1 = tuple(tuple(row[k] for k in columns) for row in c)
-    b2 = tuple(row if rep[image - 1][j] == 1 else tuple(-x for x in row)
-               for j, (image, row) in enumerate(zip(w, u)))
-    if not (is_upper_triangular(b1) and is_upper_triangular(b2)):
+    if not is_upper_triangular(b1):
         raise Singular("Bruhat factorization produced a non-triangular factor")
-    if mat_mul(b1, mat_mul(rep, b2)) != g:
-        raise Singular("Bruhat factorization failed to reconstruct the input")
-    return b1, w, b2
+    return b1, w
 
 
 def opposite_big_cell_factor(g: Mat) -> Mat:
@@ -292,7 +357,7 @@ def opposite_big_cell_factor(g: Mat) -> Mat:
     when g is not in the cell of w0, that is when a trailing principal
     minor of g * rep_weyl(w0)^{-1} vanishes.
     """
-    x, w, _ = bruhat_factor_plus(g)
+    x, w = bruhat_factor_plus(g)
     if w != weyl.longest_element(len(g)):
         raise NotInBigCell("trailing principal minor vanishes")
     return x

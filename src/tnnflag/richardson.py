@@ -40,7 +40,7 @@ def phi_down(w: Perm, v: Perm, b: BorelPt) -> BorelPt:
         raise LengthNotAdditive(f"l({w} * {v}) != l + l")
     n = len(w)
     w0 = weyl.longest_element(n)
-    b1, u, _b2 = bruhat_factor_plus(mat_mul(rep_weyl_inv(w0), b.rep))
+    b1, u = bruhat_factor_plus(mat_mul(rep_weyl_inv(w0), b.rep))
     if u != weyl.multiply(w, v):
         raise WrongCell(f"point is at position {u} from B^-, expected {weyl.multiply(w, v)}")
     return borel_from(mat_mul(rep_weyl(w0), mat_mul(b1, rep_weyl(w))))
@@ -53,7 +53,7 @@ def phi_up(w: Perm, v: Perm, b: BorelPt) -> BorelPt:
         raise LengthNotAdditive(f"l({w} * {v}) != l + l")
     n = len(w)
     w0 = weyl.longest_element(n)
-    b1, u, _b2 = bruhat_factor_plus(b.rep)
+    b1, u = bruhat_factor_plus(b.rep)
     if u != weyl.multiply(w0, w):
         raise WrongCell(f"point is at position {u} from B^+, expected {weyl.multiply(w0, w)}")
     return borel_from(mat_mul(b1, rep_weyl(weyl.multiply(w0, wv))))
@@ -241,7 +241,7 @@ def _invert(chart: Chart, b: BorelPt) -> tuple:
 # Classification
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassifyResult:
     """Stratum, recovered chart coordinates, and the nonnegativity verdict."""
 
@@ -267,6 +267,7 @@ def classify(b: BorelPt) -> ClassifyResult:
     """
     idx = stratum(b)
     chart = build_chart(idx.w, idx.wp)
+    idx = chart.index  # equal to stratum(b), and already held by the chart cache
     try:
         coords = _invert(chart, b)
     except InternalInconsistency:

@@ -251,6 +251,7 @@ def find_descent_pair(w: Perm, wp: Perm) -> int:
     raise NoDescentPair(f"no simple reflection raises {w} and lowers {wp}")
 
 
+@lru_cache(maxsize=4096)
 def perm_to_str(w: Perm) -> str:
     return ",".join(map(str, w))
 

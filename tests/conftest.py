@@ -5,7 +5,7 @@ import random
 import pytest
 
 from tnnflag import linalg, weyl
-from tnnflag.errors import ParamCountMismatch, ShapeMismatch
+from tnnflag.errors import ParamCountMismatch, ShapeMismatch, Singular
 from tnnflag.flag import act, b_minus, b_plus, stratum
 from tnnflag.linalg import Rat, gen_x, gen_y, mat_mul, identity_mat, y_product
 
@@ -85,6 +85,35 @@ def ref_mat_mul(a, b):
             row.append(total)
         out.append(tuple(row))
     return tuple(out)
+
+
+def ref_column_echelon(g):
+    """linalg.column_echelon in rational arithmetic: g = c * u.
+
+    Column j of c is 1 in row w(j), its bottom-most nonzero row, and 0 in
+    the rows w(k) for k < j; u is upper triangular with the pivots on its
+    diagonal and the subtracted coefficients above it.  Returns (c, w, u);
+    raises Singular.
+    """
+    n = len(g)
+    cols = [[g[i][j] for i in range(n)] for j in range(n)]
+    u = [[Rat(0)] * n for _ in range(n)]
+    pivots = []
+    for j in range(n):
+        col = cols[j]
+        for jp, p in enumerate(pivots):
+            if col[p] != 0:
+                f = u[jp][j] = col[p]
+                col[:] = [x - f * y if y else x for x, y in zip(col, cols[jp])]
+        p = max((i for i in range(n) if col[i] != 0), default=None)
+        if p is None:
+            raise Singular("matrix is singular")
+        f = u[j][j] = col[p]
+        if f != 1:
+            col[:] = [x / f if x else x for x in col]
+        pivots.append(p)
+    return (linalg.transpose(cols), tuple(p + 1 for p in pivots),
+            tuple(map(tuple, u)))
 
 
 def subword_leq(u, w):

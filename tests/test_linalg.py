@@ -1,15 +1,20 @@
 import itertools
+import math
 import random
 import time
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    cell_point, is_upper_unitriangular, rand_rat, random_sl, ref_mat_mul,
+    cell_point, is_upper_unitriangular, rand_rat, random_sl, ref_column_echelon,
+    ref_mat_mul, sparse_sl,
 )
 from tnnflag import linalg, richardson, weyl
-from tnnflag.errors import IndexOutOfRange, NotInBigCell, ShapeMismatch, Singular
+from tnnflag.errors import (
+    IndexOutOfRange, InternalInconsistency, NotInBigCell, ShapeMismatch, Singular,
+)
 from tnnflag.flag import act, borel_from
 from tnnflag.linalg import (
     Rat, bruhat_factor_plus, det, gen_x, gen_y, identity_mat, mat, mat_inv,
@@ -122,19 +127,26 @@ class TestMinor:
 
 
 class TestBruhatFactor:
+    @staticmethod
+    def _right_factor_is_upper(g, b1, w):
+        # b2 = rep(w)^-1 * b1^-1 * g, so g = b1 * rep(w) * b2 exactly
+        b2 = mat_mul(linalg.rep_weyl_inv(w), mat_mul(mat_inv(b1), g))
+        return linalg.is_upper_triangular(b2)
+
     def test_upper_triangular(self):
         g = mat([[1, 2], [0, 1]])
-        b1, w, b2 = bruhat_factor_plus(g)
+        b1, w = bruhat_factor_plus(g)
         assert w == weyl.identity(2)
-        assert mat_mul(b1, b2) == g
+        assert b1 == identity_mat(2)
+        assert self._right_factor_is_upper(g, b1, w)
 
     def test_rep_weyl_input(self):
         for w in weyl.all_perms(3):
-            _, got, _ = bruhat_factor_plus(rep_weyl(w))
+            _, got = bruhat_factor_plus(rep_weyl(w))
             assert got == w
 
     def test_sl2_lower(self):
-        _, w, _ = bruhat_factor_plus(gen_y(2, 1, 1))
+        _, w = bruhat_factor_plus(gen_y(2, 1, 1))
         assert w == weyl.simple(2, 1)
 
     def test_singular(self):
@@ -142,16 +154,14 @@ class TestBruhatFactor:
             bruhat_factor_plus(mat([[1, 1], [1, 1]]))
 
     def test_roundtrip_random(self):
-        # exact reconstruction on random rational matrices, all ranks to 5
+        # exact factorization of random rational matrices, all ranks to 5
         for n in (2, 3, 4, 5):
             rng = random.Random(100 + n)
             for _ in range(200):
                 g = random_sl(n, rng)
-                b1, w, b2 = bruhat_factor_plus(g)
+                b1, w = bruhat_factor_plus(g)
                 assert linalg.is_upper_triangular(b1)
-                assert linalg.is_upper_triangular(b2)
-                assert mat_mul(b1, mat_mul(rep_weyl(w), b2)) == g
-
+                assert self._right_factor_is_upper(g, b1, w)
 
     def test_left_factor_in_u_w(self):
         # b1 is the unique left factor in U_w: unitriangular, with
@@ -161,7 +171,7 @@ class TestBruhatFactor:
             for w in weyl.all_perms(n):
                 inv = weyl.inverse(w)
                 for _ in range(3):
-                    b1, got, _ = bruhat_factor_plus(cell_point(w, rng))
+                    b1, got = bruhat_factor_plus(cell_point(w, rng))
                     assert got == w
                     for i in range(n):
                         assert b1[i][i] == 1
@@ -411,3 +421,172 @@ class TestMatMul:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             mat_mul(identity_mat(2), identity_mat(3))
+
+
+# Inputs for the echelon oracle, n in 1..6.  The seeded families draw n and
+# a seed for a generator from conftest; "huge" draws its entries directly.
+_huge = st.builds(Rat, st.integers(-10**20, 10**20), st.integers(1, 10**20))
+
+
+def _seeded(make):
+    return st.builds(lambda n, seed: make(n, random.Random(seed)),
+                     st.integers(1, 6), st.integers(0, 2**32))
+
+
+def _random_sl_any(n, rng):
+    return random_sl(n, rng) if n > 1 else identity_mat(1)
+
+
+def _small_integer(n, rng):
+    """Small integers, mostly zero, of any determinant, singular included."""
+    return mat([[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)]
+                for _ in range(n)])
+
+
+def _chart_image(n, rng):
+    pairs = weyl.bruhat_pairs(n)
+    chart = richardson.build_chart(*pairs[rng.randrange(len(pairs))])
+    return richardson.eval_chart(chart, [rand_rat(rng) for _ in range(chart.dim)]).rep
+
+
+def _dependent_column(n, rng):
+    """Singular: one column a rational combination of the others (or zero)."""
+    g = [list(row) for row in _random_sl_any(n, rng)]
+    j = rng.randrange(n)
+    weights = [rand_rat(rng) if k != j and rng.random() < 0.7 else Rat(0)
+               for k in range(n)]
+    for row in g:
+        row[j] = sum((w * x for w, x in zip(weights, row)), Rat(0))
+    return mat(g)
+
+
+def _scaled_column(n, rng):
+    """Determinant != 1 (usually): one column of an SL_n matrix scaled."""
+    g = [list(row) for row in _random_sl_any(n, rng)]
+    j, f = rng.randrange(n), rand_rat(rng)
+    for row in g:
+        row[j] *= f
+    return mat(g)
+
+
+@st.composite
+def _huge_entries(draw):
+    n = draw(st.integers(1, 6))
+    return mat([[draw(_huge) for _ in range(n)] for _ in range(n)])
+
+
+_ECHELON_INPUTS = {
+    "random_sl": _seeded(_random_sl_any), "sparse_sl": _seeded(sparse_sl),
+    "small_integer": _seeded(_small_integer), "huge": _huge_entries(),
+    "chart_image": _seeded(_chart_image), "singular": _seeded(_dependent_column),
+    "det_not_one": _seeded(_scaled_column),
+}
+
+
+def _upper_triangular_invertible(n, rng):
+    return mat([[rand_rat(rng) if j > i and rng.random() < 0.7 else
+                 rand_rat(rng) if i == j else Rat(0) for j in range(n)]
+                for i in range(n)])
+
+
+class TestColumnEchelon:
+    """The integer echelon against the rational one in tests/conftest.py."""
+
+    @pytest.mark.parametrize("family", sorted(_ECHELON_INPUTS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_rational_reference(self, family, data):
+        g = data.draw(_ECHELON_INPUTS[family])
+        try:
+            c_ref, w_ref, u_ref = ref_column_echelon(g)
+        except Singular:
+            with pytest.raises(Singular):
+                linalg.column_echelon(g)
+            return
+        c, w, pivot_product = linalg.column_echelon(g)
+        assert (c, w) == (c_ref, w_ref)
+        assert pivot_product == math.prod(u_ref[j][j] for j in range(len(g)))
+        sign = -1 if weyl.length(w) % 2 else 1
+        assert pivot_product == sign * det(g)
+
+    @pytest.mark.parametrize("family", ["chart_image", "huge", "random_sl", "sparse_sl"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32))
+    def test_depends_only_on_the_coset(self, family, data, seed):
+        # c(g * t) == c(g) for invertible upper triangular t; the pivot
+        # product picks up det(t)
+        g = data.draw(_ECHELON_INPUTS[family])
+        t = _upper_triangular_invertible(len(g), random.Random(seed))
+        try:
+            c, w, pivot_product = linalg.column_echelon(g)
+        except Singular:
+            with pytest.raises(Singular):
+                linalg.column_echelon(mat_mul(g, t))
+            return
+        c_t, w_t, pivot_product_t = linalg.column_echelon(mat_mul(g, t))
+        assert (c_t, w_t) == (c, w)
+        assert pivot_product_t == pivot_product * det(t)
+
+    def test_singular_inputs_raise(self):
+        for g in (mat([[0]]), mat([[1, 2], [2, 4]]), mat([[0] * 3] * 3)):
+            with pytest.raises(Singular):
+                linalg.column_echelon(g)
+
+    @staticmethod
+    def _proof_state(monkeypatch, g):
+        """The integer state that column_echelon(g) hands to its proof."""
+        states = []
+        prove = linalg._prove_echelon
+
+        def spy(*state):
+            states.append(state)
+            prove(*state)
+
+        monkeypatch.setattr(linalg, "_prove_echelon", spy)
+        linalg.column_echelon(g)
+        monkeypatch.undo()
+        assert len(states) == 1
+        cols, echelon, ts, ss, pivots = states[0]
+        # fresh lists: a column that needed no elimination may be shared
+        # between G and C
+        return ([list(x) for x in cols], [list(x) for x in echelon],
+                [list(x) for x in ts], list(ss), list(pivots))
+
+    @pytest.mark.parametrize("fault", [
+        "t_above", "t_below", "t_diagonal", "s_scaled", "c_entry",
+        "pivot_negated", "entry_below_pivot",
+    ])
+    def test_proof_rejects_a_broken_invariant(self, monkeypatch, fault):
+        g = mat([[2, Rat(1, 3), 5], [Rat(-1, 2), 1, 0], [4, 7, Rat(1, 5)]])
+        cols, echelon, ts, ss, pivots = self._proof_state(monkeypatch, g)
+        linalg._prove_echelon(cols, echelon, ts, ss, pivots)
+        j = 2
+        if fault == "t_above":
+            ts[j][0] += 1
+        elif fault == "t_below":
+            ts[0][1] = 1
+        elif fault == "t_diagonal":
+            ts[j][j] = 0
+        elif fault == "s_scaled":
+            ss[j] *= 2
+        elif fault == "c_entry":
+            echelon[j][pivots[0]] += 1
+        elif fault == "pivot_negated":
+            # G * T == C * diag(S) still holds; the echelon shape does not
+            echelon[j] = [-x for x in echelon[j]]
+            ss[j] = -ss[j]
+        else:
+            k, p = next((k, p) for k, p in enumerate(pivots) if p < len(g) - 1)
+            echelon[k][p + 1] += 1
+        with pytest.raises(InternalInconsistency):
+            linalg._prove_echelon(cols, echelon, ts, ss, pivots)
+
+    def test_faulty_elimination_is_caught(self, monkeypatch):
+        # a content that does not divide the column breaks the elimination;
+        # the proof, not a later failure, must report it
+        faulty = types.SimpleNamespace(
+            lcm=math.lcm, gcd=lambda *args: 2 * math.gcd(*args))
+        monkeypatch.setattr(linalg, "math", faulty)
+        for g in (identity_mat(2), mat([[1, 2], [3, 7]])):
+            with pytest.raises(InternalInconsistency):
+                linalg.column_echelon(g)

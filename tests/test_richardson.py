@@ -435,6 +435,23 @@ class TestClassify:
         assert verdicts == {True, False}
         assert "NotInBigCell" in reasons
 
+    @pytest.mark.parametrize("u, expected", [
+        (((1, "2"), (2, "-1/3"), (1, "5")),
+         {"w": "1,2,3", "wp": "3,2,1", "coords": ["1/2", "-3/2", "-6/5"],
+          "nonneg": False, "reason": "NegativeCoordinate"}),
+        (((2, "7/2"), (1, "2")),
+         {"w": "1,3,2", "wp": "3,2,1", "coords": ["2/7", "1/7"],
+          "nonneg": True, "reason": "ok"}),
+    ])
+    def test_result_is_slotted_and_shares_the_chart_index(self, u, expected):
+        letters, params = zip(*u)
+        g = y_product(3, letters, [Rat(a) for a in params])
+        result = classify(act(g, b_plus(3)))
+        assert not hasattr(result, "__dict__")
+        w, wp = result.index.w, result.index.wp
+        assert result.index is build_chart(w, wp).index
+        assert result.to_json() == expected
+
     def test_result_serialization(self):
         result = classify(act(gen_y(2, 1, Rat(1, 3)), b_plus(2)))
         data = result.to_json()

@@ -49,7 +49,7 @@ CACHED = {
     "linalg.rep_weyl", "linalg.rep_weyl_inv",
     "richardson.base_point", "richardson.build_chart",
     "richardson.conjugator_word", "richardson._conjugator",
-    "weyl._prefix_key", "weyl.bruhat_pairs",
+    "weyl._prefix_key", "weyl.bruhat_pairs", "weyl.perm_to_str",
 }
 
 

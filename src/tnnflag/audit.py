@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 from . import flag, linalg, richardson, weyl
 from .errors import NotTNN, RankTooLarge
-from .flag import act, b_plus
-from .linalg import Mat, Rat, bruhat_factor_plus, mat_mul, y_product
+from .flag import borel_from
+from .linalg import Mat, Rat, column_echelon, mat_mul, y_product
 from .weyl import Perm
 
 
@@ -59,7 +59,7 @@ def _rand_pos_rat(rng: random.Random) -> "Rat":
 
 
 def sample_tnn_flag(n: int, rng: random.Random, subset_mask: int) -> flag.BorelPt:
-    """A flag act(u, B^+) with u a positive y-product along a subword of w_0.
+    """A flag u * B^+ with u a positive y-product along a subword of w_0.
 
     ``subset_mask`` selects letters of the fixed canonical reduced word of
     w_0; the full mask samples the open positive part, proper subwords the
@@ -67,7 +67,7 @@ def sample_tnn_flag(n: int, rng: random.Random, subset_mask: int) -> flag.BorelP
     """
     letters = mask_letters(n, subset_mask)
     params = [_rand_pos_rat(rng) for _ in letters]
-    return act(y_product(n, letters, params), b_plus(n))
+    return borel_from(y_product(n, letters, params))
 
 
 def mask_letters(n: int, subset_mask: int) -> list[int]:
@@ -97,7 +97,7 @@ def semigroup_cell_of(u: Mat) -> Perm:
         raise NotTNN("matrix is not lower unitriangular")
     if not is_tnn_lower(u):
         raise NotTNN("negative minor found")
-    return bruhat_factor_plus(u)[1]
+    return column_echelon(u)[1]
 
 
 def _in_semigroup_cell(u: Mat, w: Perm) -> bool:

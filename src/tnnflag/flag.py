@@ -7,28 +7,33 @@ multiplication by upper triangular matrices: bottom-most pivots are
 normalized to 1 and cleared rightward, and the last column is negated
 when needed so the representative has determinant 1.  The echelon runs
 on integers and proves g = c * u before it returns, and the determinant
-of the input is read from its pivot product.
+of the input is read from its pivot product.  Its pivot permutation is
+the flag's position from B^+, kept on the point so that no later step
+factors the representative again.
 
 The relative position of two flags is the Bruhat cell B^+ w B^+ of
-rep1^{-1} * rep2, read from ``linalg.bruhat_factor_plus``; the stratum of a
-flag is its pair of relative positions from B^+ and from B^-.
+rep1^{-1} * rep2, the pivot permutation of its column echelon; the stratum
+of a flag is its pair of relative positions from B^+ and from B^-.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import linalg, weyl
 from .errors import InternalInconsistency, Singular
-from .linalg import Mat, bruhat_factor_plus, mat_inv, mat_mul, rep_weyl_inv
+from .linalg import Mat, column_echelon, mat_inv, mat_mul, rep_weyl
 from .weyl import Perm
 
 
 @dataclass(frozen=True)
 class BorelPt:
-    """A Borel subgroup, as the canonical representative of its coset g*B^+."""
+    """A Borel subgroup, as the canonical representative of its coset g*B^+
+    and its position from B^+, the w with rep in B^+ w B^+.  The position is
+    read off rep, so equality and hashing use rep alone."""
 
     rep: Mat
+    position: Perm = field(compare=False)
 
     @property
     def n(self) -> int:
@@ -45,10 +50,11 @@ def borel_from(g: Mat) -> BorelPt:
     column negated when w is odd.  det(c) = sgn(w) and u is triangular, so
     det(g) = sgn(w) * det(u) is read from the pivot product that the echelon
     returns, without a separate elimination.  The echelon proves g = c * u
-    in integers before it returns.
+    in integers before it returns.  Its pivot permutation w is the position
+    of the coset from B^+: c = b1 * P_w with b1 in U^+.
     """
     try:
-        c, w, pivot_product = linalg.column_echelon(g)
+        c, w, pivot_product = column_echelon(g)
     except Singular:
         raise Singular("representative must have determinant 1") from None
     odd = weyl.length(w) % 2
@@ -56,7 +62,7 @@ def borel_from(g: Mat) -> BorelPt:
         raise Singular("representative must have determinant 1")
     if odd:
         c = tuple(row[:-1] + (-row[-1],) for row in c)
-    return BorelPt(c)
+    return BorelPt(c, w)
 
 
 def b_plus(n: int) -> BorelPt:
@@ -64,7 +70,7 @@ def b_plus(n: int) -> BorelPt:
 
 
 def b_minus(n: int) -> BorelPt:
-    return borel_from(linalg.rep_weyl(weyl.longest_element(n)))
+    return borel_from(rep_weyl(weyl.longest_element(n)))
 
 
 def act(g: Mat, b: BorelPt) -> BorelPt:
@@ -74,7 +80,7 @@ def act(g: Mat, b: BorelPt) -> BorelPt:
 
 def relative_position(b1: BorelPt, b2: BorelPt) -> Perm:
     """The unique w with b1 --w--> b2: rep1^{-1} * rep2 lies in B^+ w B^+."""
-    return bruhat_factor_plus(mat_mul(mat_inv(b1.rep), b2.rep))[1]
+    return column_echelon(mat_mul(mat_inv(b1.rep), b2.rep))[1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,12 +106,12 @@ class CellIndex:
 def stratum(b: BorelPt) -> CellIndex:
     """The (w, w') with b in R_{w,w'}: w from the B^+ side, w' from the B^- side.
 
-    The rep of B^+ is the identity, and the rep of B^- is rep_weyl(w0) times
-    a diagonal sign matrix, which lies in B^+ and so leaves the Bruhat cell
-    alone: neither side inverts a rep.
+    w is w0 times the stored position.  The rep of B^- is rep_weyl(w0) times
+    a diagonal sign matrix in B^+, and rep_weyl(w0)^{-1} = +-rep_weyl(w0), so
+    w' is the position of rep_weyl(w0) * rep from B^+.
     """
     w0 = weyl.longest_element(b.n)
-    w = weyl.multiply(w0, bruhat_factor_plus(b.rep)[1])
-    wp = bruhat_factor_plus(mat_mul(rep_weyl_inv(w0), b.rep))[1]
+    w = weyl.multiply(w0, b.position)
+    wp = column_echelon(mat_mul(rep_weyl(w0), b.rep))[1]
     return CellIndex(w, wp)
 

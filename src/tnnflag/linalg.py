@@ -11,8 +11,10 @@ representative of the coset g * B^+ and the Bruhat factorization
 g = b1 * rep(w) * b2 with b1 in U_w and b2 upper triangular.  The unique
 upper-unitriangular witness of a Borel opposite to B^- is its b1 when
 w = w0.  The representative of w is a signed permutation matrix in closed
-form, so its inverse is its transpose; no reduced word and no elimination
-is needed for either.
+form, built with no reduced word and no elimination.  No inverse
+representative is kept: rep(w)^{-1} is the transpose of rep(w), and
+rep(w0)^{-1} = (-1)^(n-1) * rep(w0), so rep(w0)^{-1} * g and rep(w0) * g
+span the same flag.
 
 The echelon is fraction-free: it clears denominators column by column,
 eliminates on Python ints by cross-multiplication with content removal,
@@ -213,18 +215,6 @@ def rep_weyl(w: Perm) -> Mat:
         odd = sum(1 for k in range(j) if w[k] > image) % 2
         rows[image - 1][j] = -ONE if odd else ONE
     return tuple(tuple(row) for row in rows)
-
-
-@lru_cache(maxsize=None)
-def rep_weyl_inv(w: Perm) -> Mat:
-    """Inverse of rep_weyl(w), the transpose of a signed permutation matrix.
-
-    Checked once when it enters the cache.
-    """
-    inv = transpose(rep_weyl(w))
-    if mat_mul(rep_weyl(w), inv) != identity_mat(len(w)):
-        raise InternalInconsistency(f"rep_weyl({w}) times its inverse is not I")
-    return inv
 
 
 def y_product(n: int, letters: Sequence[int], params: Sequence) -> Mat:

@@ -23,10 +23,7 @@ from .errors import (
     ParamCountMismatch, TnnError, WrongCell, WrongStratum, ZeroParameter,
 )
 from .flag import BorelPt, CellIndex, borel_from, stratum
-from .linalg import (
-    Mat, Rat, bruhat_factor_plus, gen_x, mat_mul, rep_weyl, rep_weyl_inv,
-    y_product,
-)
+from .linalg import Mat, Rat, bruhat_factor_plus, gen_x, mat_mul, rep_weyl, y_product
 from .weyl import Perm, Word
 
 
@@ -35,28 +32,32 @@ from .weyl import Perm, Word
 
 
 def phi_down(w: Perm, v: Perm, b: BorelPt) -> BorelPt:
-    """The unique P with B^- --w--> P --v--> b, for b at position wv from B^-."""
+    """The unique P with B^- --w--> P --v--> b, for b at position wv from B^-.
+
+    rep_weyl(w0) stands in for its inverse (-1)^(n-1) * rep_weyl(w0): the
+    scalar changes neither b1 nor u.
+    """
     if weyl.length(weyl.multiply(w, v)) != weyl.length(w) + weyl.length(v):
         raise LengthNotAdditive(f"l({w} * {v}) != l + l")
-    n = len(w)
-    w0 = weyl.longest_element(n)
-    b1, u = bruhat_factor_plus(mat_mul(rep_weyl_inv(w0), b.rep))
+    w0 = weyl.longest_element(len(w))
+    b1, u = bruhat_factor_plus(mat_mul(rep_weyl(w0), b.rep))
     if u != weyl.multiply(w, v):
         raise WrongCell(f"point is at position {u} from B^-, expected {weyl.multiply(w, v)}")
     return borel_from(mat_mul(rep_weyl(w0), mat_mul(b1, rep_weyl(w))))
 
 
 def phi_up(w: Perm, v: Perm, b: BorelPt) -> BorelPt:
-    """The unique P with B^+ --w0 w v--> P --v^{-1}--> b, for b in C^+_w."""
-    wv = weyl.multiply(w, v)
-    if weyl.length(wv) != weyl.length(w) + weyl.length(v):
+    """The unique P with B^+ --w0 w v--> P --v^{-1}--> b, for b in C^+_w.
+
+    P is the right translate b * v: rep = b1 * rep_weyl(w0 w) * d with b1 in
+    U^+ and d diagonal, so rep * rep_weyl(v) lies in b1 * rep_weyl(w0 w v) * B^+.
+    """
+    if weyl.length(weyl.multiply(w, v)) != weyl.length(w) + weyl.length(v):
         raise LengthNotAdditive(f"l({w} * {v}) != l + l")
-    n = len(w)
-    w0 = weyl.longest_element(n)
-    b1, u = bruhat_factor_plus(b.rep)
-    if u != weyl.multiply(w0, w):
-        raise WrongCell(f"point is at position {u} from B^+, expected {weyl.multiply(w0, w)}")
-    return borel_from(mat_mul(b1, rep_weyl(weyl.multiply(w0, wv))))
+    expected = weyl.multiply(weyl.longest_element(len(w)), w)
+    if b.position != expected:
+        raise WrongCell(f"point is at position {b.position} from B^+, expected {expected}")
+    return borel_from(mat_mul(b.rep, rep_weyl(v)))
 
 
 def pi(w: Perm, wp: Perm, s_index: int, b: BorelPt) -> BorelPt:

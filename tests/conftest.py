@@ -5,9 +5,13 @@ import random
 import pytest
 
 from tnnflag import linalg, weyl
-from tnnflag.errors import ParamCountMismatch, ShapeMismatch, Singular
-from tnnflag.flag import act, b_minus, b_plus, stratum
-from tnnflag.linalg import Rat, gen_x, gen_y, mat_mul, identity_mat, y_product
+from tnnflag.errors import (
+    LengthNotAdditive, ParamCountMismatch, ShapeMismatch, Singular, WrongCell,
+)
+from tnnflag.flag import CellIndex, act, b_minus, b_plus, borel_from, stratum
+from tnnflag.linalg import (
+    Rat, gen_x, gen_y, mat_mul, identity_mat, rep_simple, rep_weyl, y_product,
+)
 
 
 def report_text(report):
@@ -277,3 +281,53 @@ def flag_minors_tnn(g):
         if len(signs) > 1:
             return False
     return True
+
+
+def ref_stratum(b):
+    """flag.stratum as two Bruhat factorizations: w0 times the position of
+    rep, and the position of rep_weyl(w0)^{-1} * rep."""
+    w0 = weyl.longest_element(b.n)
+    w = weyl.multiply(w0, linalg.bruhat_factor_plus(b.rep)[1])
+    w0_inv = linalg.transpose(rep_weyl(w0))
+    wp = linalg.bruhat_factor_plus(mat_mul(w0_inv, b.rep))[1]
+    return CellIndex(w, wp)
+
+
+def ref_phi_up(w, v, b):
+    """richardson.phi_up from the Bruhat factorization rep = b1 * rep(u) * b2:
+    the point b1 * rep(w0 w v) * B^+, for u = w0 w."""
+    wv = weyl.multiply(w, v)
+    if weyl.length(wv) != weyl.length(w) + weyl.length(v):
+        raise LengthNotAdditive(f"l({w} * {v}) != l + l")
+    w0 = weyl.longest_element(len(w))
+    b1, u = linalg.bruhat_factor_plus(b.rep)
+    if u != weyl.multiply(w0, w):
+        raise WrongCell(f"point is at position {u} from B^+, expected {weyl.multiply(w0, w)}")
+    return borel_from(mat_mul(b1, rep_weyl(weyl.multiply(w0, wv))))
+
+
+def marsh_rietsch_point(v, w, t):
+    """The flag g * B^+ of the Marsh-Rietsch parametrization of R_{v,w}
+    (arXiv:math/0307017), built with no chart and no recursion.
+
+    g is a product along weyl.reduced_word(w): rep_simple(i) at the letters
+    of the positive distinguished subexpression for v, and y_i(t_k) at the
+    others, in order.  The subexpression is read right to left: a letter is
+    used when s_i is a right descent of what is left of v, and the walk ends
+    at the identity.  Positive t give the totally positive part.
+    """
+    n = len(w)
+    word = weyl.reduced_word(w)
+    rest, used = v, []
+    for i in reversed(word):
+        used.insert(0, not weyl.is_right_ascent(rest, i))
+        if used[0]:
+            rest = weyl.right_mult_simple(rest, i)
+    assert rest == weyl.identity(n), (v, w)
+    if len(t) != used.count(False):
+        raise ParamCountMismatch(f"expected {used.count(False)} parameters")
+    params = iter(t)
+    g = identity_mat(n)
+    for i, in_v in zip(word, used):
+        g = mat_mul(g, rep_simple(n, i) if in_v else gen_y(n, i, next(params)))
+    return borel_from(g)

@@ -10,7 +10,7 @@ from tnnflag.audit import (
 )
 from tnnflag.errors import NotTNN, RankTooLarge
 from tnnflag.flag import b_plus
-from tnnflag.linalg import Rat, gen_y, identity_mat, mat_mul, y_product
+from tnnflag.linalg import Rat, gen_y, identity_mat, mat, mat_mul, y_product
 
 
 class TestSampleTnnFlag:
@@ -36,6 +36,15 @@ class TestSemigroupCellOf:
     def test_length_three_product(self):
         u = mat_mul(mat_mul(gen_y(3, 1, 2), gen_y(3, 2, 3)), gen_y(3, 1, 5))
         assert semigroup_cell_of(u) == weyl.longest_element(3)
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 1], [0, 1]],
+        [[1, 0], [1, 2]],
+        [[1, 0, 0], [2, 1, 0], [3, 0, -1]],
+    ], ids=["upper", "diagonal-2", "diagonal-minus-1"])
+    def test_not_unitriangular_rejected(self, rows):
+        with pytest.raises(NotTNN, match="not lower unitriangular"):
+            semigroup_cell_of(mat(rows))
 
     def test_negative_minor_rejected(self):
         u = mat_mul(gen_y(3, 1, 1), gen_y(3, 1, -2))

@@ -307,7 +307,10 @@ class TestUsageErrors:
          "--params", "-1/2,3,1"],
         ["bogus"],
         ["cells", "--n", "2", "extra\nargument"],
-    ], ids=["missing", "not-int", "negative-params", "command", "newline"])
+        ["eval", "--n", "3", "--w", "1,1,2", "--wp", "3,2,1"],
+        ["eval", "--n", "3", "--w", "1,2", "--wp", "3,2,1"],
+    ], ids=["missing", "not-int", "negative-params", "command", "newline",
+            "not-a-permutation", "wrong-rank"])
     def test_exit_5(self, capsys, argv):
         code, out, err = run_err(capsys, *argv)
         assert code == 5
@@ -491,3 +494,38 @@ class TestInternalError:
         code, out, _ = run_err(capsys, "cells", "--n", "3", "--output", str(path))
         assert code == 7 and out == ""
         assert not path.exists()
+
+
+def eval_classify_transcript(n):
+    """stdout of eval on every pair of rank n with fixed mixed-sign
+    parameters, each eval output piped into classify."""
+    parts = []
+    for w, wp in weyl.bruhat_pairs(n):
+        dim = weyl.length(wp) - weyl.length(w)
+        params = ",".join(f"{'-' if k % 3 == 1 else ''}{k + 2}/{k + 1}"
+                          for k in range(dim))
+        code, out, err = run_io(["eval", "--n", str(n), "--w", weyl.perm_to_str(w),
+                                 "--wp", weyl.perm_to_str(wp), "--params=" + params])
+        assert code == 0 and err == "", (w, wp, err)
+        code, verdict, err = run_io(["classify", "-"], out)
+        assert code == 0 and err == "", (w, wp, err)
+        parts += [out, verdict]
+    return "".join(parts)
+
+
+class TestPinnedTranscripts:
+    """Digests of CLI stdout on fixed inputs: a refactor keeps every byte."""
+
+    @pytest.mark.parametrize("n, digest", [
+        (3, "78fc3b94081665e0c0dd66231cb6971f22e368b61baf3ebb0469b08fde41baf4"),
+        (4, "af07a57ef1c54cb8bcd83ee084623ccae625ff662123dd2a6e8539bc6b1b31a0"),
+    ], ids=["n3", "n4"])
+    def test_eval_classify(self, n, digest):
+        out = eval_classify_transcript(n)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_audit(self):
+        code, out, err = run_io(["audit", "--n", "3", "--samples", "2", "--seed", "0"])
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c7ce90a7c8ba6de12730f9fccf0d5d3219d5aecdb67b620b311e67c859f0e2c7")

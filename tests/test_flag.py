@@ -1,10 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
 from conftest import (
     cell_point, codim_check, rand_params, rand_rat, random_sl, rank_relative_position,
-    ref_mat_mul,
+    ref_mat_mul, sparse_sl,
 )
 from tnnflag import flag, linalg, richardson, weyl
 from tnnflag.errors import Singular
@@ -55,6 +56,22 @@ class TestBorelFrom:
                               for j in range(n))
                         for row in b1)
                     assert borel_from(g).rep == expected
+
+    def test_position_is_the_bruhat_cell(self):
+        rng = random.Random(4)
+        for n in (2, 3, 4, 5):
+            gs = [random_sl(n, rng) for _ in range(10)]
+            gs += [sparse_sl(n, rng) for _ in range(10)]
+            gs += [cell_point(rng.choice(weyl.all_perms(n)), rng) for _ in range(10)]
+            for g in gs:
+                b = borel_from(g)
+                assert b.position == linalg.bruhat_factor_plus(g)[1]
+                assert b.position == relative_position(b_plus(n), b)
+
+    def test_position_takes_no_part_in_equality(self):
+        b = borel_from(gen_y(3, 1, 2))
+        other = dataclasses.replace(b, position=weyl.identity(3))
+        assert other == b and hash(other) == hash(b)
 
     def test_det_one(self):
         rng = random.Random(2)

@@ -102,7 +102,15 @@ class TestRepresentatives:
                 for i in weyl.reduced_word(w):
                     m = mat_mul(m, rep_simple(n, i))
                 assert rep_weyl(w) == m, w
-                assert linalg.rep_weyl_inv(w) == mat_inv(m), w
+                assert linalg.transpose(rep_weyl(w)) == mat_inv(m), w
+
+    def test_longest_element_squares_to_a_sign(self):
+        # so rep_weyl(w0) and its inverse differ by the scalar (-1)^(n-1)
+        for n in range(1, 8):
+            w0 = rep_weyl(weyl.longest_element(n))
+            sign = -1 if n % 2 == 0 else 1
+            assert mat_mul(w0, w0) == tuple(
+                tuple(sign * x for x in row) for row in identity_mat(n)), n
 
     def test_det_one(self):
         for w in weyl.all_perms(4):
@@ -130,7 +138,7 @@ class TestBruhatFactor:
     @staticmethod
     def _right_factor_is_upper(g, b1, w):
         # b2 = rep(w)^-1 * b1^-1 * g, so g = b1 * rep(w) * b2 exactly
-        b2 = mat_mul(linalg.rep_weyl_inv(w), mat_mul(mat_inv(b1), g))
+        b2 = mat_mul(linalg.transpose(rep_weyl(w)), mat_mul(mat_inv(b1), g))
         return linalg.is_upper_triangular(b2)
 
     def test_upper_triangular(self):
@@ -237,7 +245,7 @@ class TestOppositeBigCell:
 
     def test_reconstruction(self):
         rng = random.Random(7)
-        w0_inv = linalg.rep_weyl_inv(weyl.longest_element(3))
+        w0_inv = linalg.transpose(rep_weyl(weyl.longest_element(3)))
         for _ in range(50):
             g = random_sl(3, rng)
             try:

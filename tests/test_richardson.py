@@ -4,12 +4,12 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import (
-    flag_minors_tnn, key_chart_lower, key_chart_upper, rand_params, rand_rat,
-    random_sl, sparse_sl,
+    flag_minors_tnn, key_chart_lower, key_chart_upper, marsh_rietsch_point,
+    rand_params, rand_rat, random_sl, ref_phi_up, ref_stratum, sparse_sl,
 )
 from tnnflag import linalg, richardson, weyl
 from tnnflag.errors import (
-    NotInBigCell, NotInChartImage, ParamCountMismatch, WrongStratum,
+    NotInBigCell, NotInChartImage, ParamCountMismatch, WrongCell, WrongStratum,
     ZeroParameter,
 )
 from tnnflag.flag import CellIndex, act, b_minus, b_plus, borel_from, stratum
@@ -95,6 +95,84 @@ class TestPhiUp:
             inner_pt, _, _ = positive_point(wv, wpv, rng)
             outer = phi_down(wp, v, inner_pt)
             assert phi_up(w, v, outer) == inner_pt
+
+
+class TestFactorizationReferences:
+    """phi_up and stratum read the stored position; the references factor
+    the representative again (tests/conftest.py)."""
+
+    @staticmethod
+    def _outcome(f, *args):
+        try:
+            b = f(*args)
+        except WrongCell as exc:
+            return "WrongCell", str(exc)
+        return b.rep, b.position
+
+    # every chart step at n <= 4, on points with mixed-sign parameters; each
+    # peel step is also tried on every point of the same walk, so that
+    # WrongCell is raised on the same inputs
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_chart_step(self, n):
+        rng = random.Random(70 + n)
+        wrong_cell = 0
+        for w, wp in weyl.bruhat_pairs(n):
+            chart = build_chart(w, wp)
+            b = eval_chart(chart, rand_params(rng, chart.dim))
+            walk, peels = [b], []
+            for kind, sw, swp, arg in reversed(chart.steps):
+                if kind == "peel":
+                    peels.append((sw, arg))
+                    b = phi_up(sw, arg, b)
+                else:
+                    b, _ = psi_inv(sw, swp, arg, b)
+                walk.append(b)
+            for point in walk:
+                assert stratum(point) == ref_stratum(point)
+                for sw, v in peels:
+                    got = self._outcome(phi_up, sw, v, point)
+                    assert got == self._outcome(ref_phi_up, sw, v, point)
+                    wrong_cell += got[0] == "WrongCell"
+        assert wrong_cell > 0 or n == 2  # no chart of SL_2 peels
+
+    def test_random_flags(self):
+        rng = random.Random(77)
+        for n in (2, 3, 4, 5):
+            e = weyl.identity(n)
+            for _ in range(20):
+                b = borel_from(random_sl(n, rng))
+                assert stratum(b) == ref_stratum(b)
+                v = rng.choice(weyl.all_perms(n))
+                assert self._outcome(phi_up, e, v, b) == self._outcome(ref_phi_up, e, v, b)
+
+
+class TestMarshRietsch:
+    """classify against a second chart with no recursion: the Marsh-Rietsch
+    parametrization of R_{v,w} lands in the code's cell (w0 w, w0 v)."""
+
+    PAIRS = [pair for n in (2, 3, 4) for pair in weyl.bruhat_pairs(n)]
+
+    @pytest.mark.parametrize("pairs", [PAIRS, weyl.bruhat_pairs(5)[::25]],
+                             ids=["n2-4", "n5-every-25th"])
+    def test_positive_parameters(self, pairs):
+        rng = random.Random(len(pairs))
+        for v, w in pairs:
+            w0 = weyl.longest_element(len(w))
+            t = rand_params(rng, weyl.length(w) - weyl.length(v), positive=True)
+            result = classify(marsh_rietsch_point(v, w, t))
+            assert result.nonneg, (v, w)
+            assert result.index == CellIndex(weyl.multiply(w0, w), weyl.multiply(w0, v))
+            assert len(result.coords) == len(t) and all(c > 0 for c in result.coords)
+
+    def test_a_negative_parameter(self):
+        rng = random.Random(80)
+        for k, (v, w) in enumerate(self.PAIRS):
+            dim = weyl.length(w) - weyl.length(v)
+            if dim == 0:
+                continue
+            t = list(rand_params(rng, dim, positive=True))
+            t[k % dim] *= -1
+            assert not classify(marsh_rietsch_point(v, w, t)).nonneg, (v, w, t)
 
 
 class TestPi:

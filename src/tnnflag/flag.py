@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import linalg, weyl
 from .errors import InternalInconsistency, Singular
-from .linalg import Mat, column_echelon, mat_inv, mat_mul, rep_weyl
+from .linalg import Mat, column_echelon, mat_inv, mat_mul, rep_weyl, weyl_mul
 from .weyl import Perm
 
 
@@ -112,6 +112,6 @@ def stratum(b: BorelPt) -> CellIndex:
     """
     w0 = weyl.longest_element(b.n)
     w = weyl.multiply(w0, b.position)
-    wp = column_echelon(mat_mul(rep_weyl(w0), b.rep))[1]
+    wp = column_echelon(weyl_mul(w0, b.rep))[1]
     return CellIndex(w, wp)
 

@@ -106,10 +106,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(out)
 
 
-def transpose(a: Mat) -> Mat:
-    return tuple(zip(*a))
-
-
 def det(a: Mat) -> "Rat":
     """Determinant by fraction-exact Gaussian elimination."""
     n = len(a)
@@ -201,20 +197,37 @@ def rep_simple(n: int, i: int) -> Mat:
     return mat_mul(mat_mul(gen_y(n, i, 1), gen_x(n, i, -1)), gen_y(n, i, 1))
 
 
-@lru_cache(maxsize=None)
+def weyl_mul(w: Perm, m: Mat, *, right: bool = False) -> Mat:
+    """rep_weyl(w) * m, or m * rep_weyl(w) when ``right``, with no arithmetic.
+
+    rep_weyl(w) is the signed permutation matrix with entry
+    (-1)^#{k < j : w(k) > w(j)} at (w(j), j).  On the left it moves row j
+    of m to row w(j); on the right it puts column w(j) of m in column j.
+    Either way the moved row or column is negated when its sign is odd.
+    """
+    n = len(m)
+    if len(w) != n:
+        raise ShapeMismatch(f"sizes differ: {len(w)} vs {n}")
+    odd = [sum(1 for k in range(j) if w[k] > image) % 2 for j, image in enumerate(w)]
+    if right:
+        src = [image - 1 for image in w]
+        return tuple(
+            tuple(-row[k] if o and row[k] else row[k] for k, o in zip(src, odd))
+            for row in m)
+    rows = [()] * n
+    for j, image in enumerate(w):
+        rows[image - 1] = tuple(-x if x else x for x in m[j]) if odd[j] else m[j]
+    return tuple(rows)
+
+
+@lru_cache(maxsize=weyl.PERMS_UNDER_RANK_BOUND)
 def rep_weyl(w: Perm) -> Mat:
-    """Representative of w: the signed permutation matrix with entry
-    (-1)^#{k < j : w(k) > w(j)} at (w(j), j).
+    """Representative of w: ``weyl_mul`` applied to the identity.
 
     This is the product of rep_simple along any reduced word of w: the
     pinned representatives satisfy the braid relations.
     """
-    n = len(w)
-    rows = [[ZERO] * n for _ in range(n)]
-    for j, image in enumerate(w):
-        odd = sum(1 for k in range(j) if w[k] > image) % 2
-        rows[image - 1][j] = -ONE if odd else ONE
-    return tuple(tuple(row) for row in rows)
+    return weyl_mul(w, identity_mat(len(w)))
 
 
 def y_product(n: int, letters: Sequence[int], params: Sequence) -> Mat:

@@ -9,6 +9,16 @@ a base point and its list of steps outward: evaluation folds forward over
 the steps and inversion backward.  Positive parameters land in the totally
 nonnegative part of the stratum; the classifier inverts the chart of any
 rational flag and decides from the signs after an exact round trip.
+
+The round trip is proved on the points the inversion computes, with no
+second walk.  Inverting b = b_m walks inward through b_{m-1}, ..., b_0 and
+checks b_0 == base_point.  An extend step accepts b_k -> (b_{k-1}, a) only
+when x_partial * x_{i'}(a) == x_full for the big-cell witnesses of y * b_{k-1}
+and y * b_k; psi(b_{k-1}, a) is y^{-1} x_partial x_{i'}(a) w0 * B^+, so that
+identity is psi(b_{k-1}, a) == b_k.  A peel step is checked afterwards as
+phi_down(w', v, b_{k-1}) == b_k.  eval_chart folds the same maps outward from
+the same base point, so by induction on k it reaches b_k at every step and
+eval_chart(coords) == b.
 """
 
 from __future__ import annotations
@@ -23,7 +33,9 @@ from .errors import (
     ParamCountMismatch, TnnError, WrongCell, WrongStratum, ZeroParameter,
 )
 from .flag import BorelPt, CellIndex, borel_from, stratum
-from .linalg import Mat, Rat, bruhat_factor_plus, gen_x, mat_mul, rep_weyl, y_product
+from .linalg import (
+    Mat, Rat, bruhat_factor_plus, gen_x, mat_mul, rep_weyl, weyl_mul, y_product,
+)
 from .weyl import Perm, Word
 
 
@@ -40,10 +52,10 @@ def phi_down(w: Perm, v: Perm, b: BorelPt) -> BorelPt:
     if weyl.length(weyl.multiply(w, v)) != weyl.length(w) + weyl.length(v):
         raise LengthNotAdditive(f"l({w} * {v}) != l + l")
     w0 = weyl.longest_element(len(w))
-    b1, u = bruhat_factor_plus(mat_mul(rep_weyl(w0), b.rep))
+    b1, u = bruhat_factor_plus(weyl_mul(w0, b.rep))
     if u != weyl.multiply(w, v):
         raise WrongCell(f"point is at position {u} from B^-, expected {weyl.multiply(w, v)}")
-    return borel_from(mat_mul(rep_weyl(w0), mat_mul(b1, rep_weyl(w))))
+    return borel_from(weyl_mul(w0, weyl_mul(w, b1, right=True)))
 
 
 def phi_up(w: Perm, v: Perm, b: BorelPt) -> BorelPt:
@@ -57,7 +69,7 @@ def phi_up(w: Perm, v: Perm, b: BorelPt) -> BorelPt:
     expected = weyl.multiply(weyl.longest_element(len(w)), w)
     if b.position != expected:
         raise WrongCell(f"point is at position {b.position} from B^+, expected {expected}")
-    return borel_from(mat_mul(b.rep, rep_weyl(v)))
+    return borel_from(weyl_mul(v, b.rep, right=True))
 
 
 def pi(w: Perm, wp: Perm, s_index: int, b: BorelPt) -> BorelPt:
@@ -74,7 +86,7 @@ def pi(w: Perm, wp: Perm, s_index: int, b: BorelPt) -> BorelPt:
 # psi and its inverse
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=weyl.PERMS_UNDER_RANK_BOUND)
 def conjugator_word(w: Perm) -> Word:
     """Reduced word of w0 w^{-1} w0, used to build the conjugating y-element.
 
@@ -84,7 +96,7 @@ def conjugator_word(w: Perm) -> Word:
     return weyl.reduced_word(weyl.multiply(weyl.multiply(w0, weyl.inverse(w)), w0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=weyl.PERMS_UNDER_RANK_BOUND)
 def _conjugator(n: int, y_word: Word) -> tuple[Mat, Mat]:
     """y = y_{i_1}(1)...y_{i_k}(1) and its inverse y_{i_k}(-1)...y_{i_1}(-1)."""
     k = len(y_word)
@@ -100,8 +112,8 @@ def _psi_with(y: Mat, y_inv: Mat, s_index: int, b: BorelPt, a) -> BorelPt:
     # canonical form
     x = linalg.opposite_big_cell_factor(mat_mul(y, b.rep))
     ip = n - s_index  # w0 s_i w0 = s_{n-i}
-    w0rep = rep_weyl(weyl.longest_element(n))
-    return borel_from(mat_mul(y_inv, mat_mul(x, mat_mul(gen_x(n, ip, a), w0rep))))
+    x_a = weyl_mul(weyl.longest_element(n), gen_x(n, ip, a), right=True)
+    return borel_from(mat_mul(y_inv, mat_mul(x, x_a)))
 
 
 def psi(w: Perm, wp: Perm, s_index: int, b: BorelPt, a) -> BorelPt:
@@ -122,10 +134,15 @@ def _psi_inv_with(
     x_full = linalg.opposite_big_cell_factor(mat_mul(y, b.rep))
     x_partial = linalg.opposite_big_cell_factor(mat_mul(y, p.rep))
     # x_partial is unitriangular, so x_full = x_partial * x_{i'}(a) forces
-    # a to be the difference of their (i', i'+1) entries
+    # a to be the difference of their (i', i'+1) entries.  That product is
+    # x_partial with a times column i' added to column i'+1, so the check
+    # compares x_full with it column by column, without forming it.
     ip = n - s_index
     a = x_full[ip - 1][ip] - x_partial[ip - 1][ip]
-    if a == 0 or mat_mul(x_partial, gen_x(n, ip, a)) != x_full:
+    if a == 0 or any(
+            full[:ip] != part[:ip] or full[ip + 1:] != part[ip + 1:]
+            or full[ip] != (part[ip] + a * part[ip - 1] if part[ip - 1] else part[ip])
+            for full, part in zip(x_full, x_partial)):
         raise NotInChartImage("residual is not a single x_{i'}(a) with a != 0")
     return p, a
 
@@ -164,7 +181,7 @@ class Chart:
         return " -> ".join(parts + ["base"])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=weyl.PERMS_UNDER_RANK_BOUND)
 def base_point(w: Perm) -> BorelPt:
     """The single point of R_{w,w}: the W-conjugate w0 w * B^+ of B^+.
 
@@ -173,7 +190,7 @@ def base_point(w: Perm) -> BorelPt:
     when the point enters the cache.
     """
     n = len(w)
-    b = borel_from(mat_mul(rep_weyl(weyl.longest_element(n)), rep_weyl(w)))
+    b = borel_from(weyl_mul(weyl.longest_element(n), rep_weyl(w)))
     if stratum(b) != CellIndex(w, w):
         raise InternalInconsistency(f"base point for {w} lies in {stratum(b)}")
     return b
@@ -222,20 +239,24 @@ def invert_chart(chart: Chart, b: BorelPt) -> tuple:
     """Recover the chart coordinates of b; total inverse of eval_chart."""
     if stratum(b) != chart.index:
         raise WrongStratum(f"point lies in {stratum(b)}, chart is for {chart.index}")
-    return _invert(chart, b)
+    return _invert(chart, b)[0]
 
 
-def _invert(chart: Chart, b: BorelPt) -> tuple:
-    coords = []
+def _invert(chart: Chart, b: BorelPt) -> tuple[tuple, list]:
+    """The coordinates of b, and (w', v, inner, outer) for each peel step
+    with inner = phi_up(w, v, outer): the data of its round-trip check."""
+    coords, peels = [], []
     for kind, w, wp, arg in reversed(chart.steps):
         if kind == "peel":
-            b = phi_up(w, arg, b)
+            inner = phi_up(w, arg, b)
+            peels.append((wp, arg, inner, b))
+            b = inner
         else:
             b, a = psi_inv(w, wp, arg, b)
             coords.append(a)
     if b != base_point(chart.base):
         raise NotInChartImage("point differs from the unique base point")
-    return tuple(reversed(coords))
+    return tuple(reversed(coords)), peels
 
 
 # ---------------------------------------------------------------------------
@@ -262,20 +283,29 @@ class ClassifyResult:
 def classify(b: BorelPt) -> ClassifyResult:
     """Locate b in its stratum and decide total nonnegativity.
 
-    Inverts the stratum's chart and re-evaluates on the recovered
-    coordinates; the verdict is positive only if the round trip reproduces
-    b exactly and every coordinate is positive.
+    Inverts the stratum's chart; the verdict is positive only if the
+    round trip reproduces b exactly and every coordinate is positive.
+
+    The round trip eval_chart(coords) == b is proved by composition on the
+    inversion's own points (see the module docstring): the inversion ends
+    at the base point, each extend step's residual check is
+    psi(inner, a) == outer, and each peel step is checked here, once the
+    inversion has succeeded, as phi_down(w', v, inner) == outer.
+
+    An inversion error gives its class name as the reason, with no
+    coordinates; a failed peel check gives RoundTripMismatch with the
+    coordinates kept.  An exception raised inside a check propagates.
     """
     idx = stratum(b)
     chart = build_chart(idx.w, idx.wp)
     idx = chart.index  # equal to stratum(b), and already held by the chart cache
     try:
-        coords = _invert(chart, b)
+        coords, peels = _invert(chart, b)
     except InternalInconsistency:
         raise
     except TnnError as exc:
         return ClassifyResult(idx, (), False, type(exc).__name__)
-    if eval_chart(chart, coords) != b:
+    if any(phi_down(wp, v, inner) != outer for wp, v, inner, outer in peels):
         return ClassifyResult(idx, coords, False, "RoundTripMismatch")
     if any(c < 0 for c in coords):
         return ClassifyResult(idx, coords, False, "NegativeCoordinate")

@@ -12,6 +12,7 @@ the entries of ``w`` at positions ``i`` and ``i+1``).
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import os
 from functools import lru_cache
@@ -23,6 +24,10 @@ Perm = tuple[int, ...]
 Word = tuple[int, ...]
 
 DEFAULT_MAX_RANK = 6
+
+# 1! + 2! + ... + 6! = 873: the permutations of every rank up to the
+# default bound, so the size of a cache keyed by one permutation
+PERMS_UNDER_RANK_BOUND = sum(math.factorial(n) for n in range(1, DEFAULT_MAX_RANK + 1))
 
 
 def max_rank() -> int:

@@ -6,12 +6,14 @@ import pytest
 
 from tnnflag import linalg, weyl
 from tnnflag.errors import (
-    LengthNotAdditive, ParamCountMismatch, ShapeMismatch, Singular, WrongCell,
+    InternalInconsistency, LengthNotAdditive, ParamCountMismatch, ShapeMismatch,
+    Singular, TnnError, WrongCell,
 )
 from tnnflag.flag import CellIndex, act, b_minus, b_plus, borel_from, stratum
 from tnnflag.linalg import (
     Rat, gen_x, gen_y, mat_mul, identity_mat, rep_simple, rep_weyl, y_product,
 )
+from tnnflag.richardson import ClassifyResult, build_chart, eval_chart, invert_chart
 
 
 def report_text(report):
@@ -76,6 +78,10 @@ def cell_point(w, rng: random.Random):
     return ref_mat_mul(ref_mat_mul(u, p), b)
 
 
+def transpose(a):
+    return tuple(zip(*a))
+
+
 def ref_mat_mul(a, b):
     """Plain dense triple-loop product: the reference for linalg.mat_mul."""
     n = len(a)
@@ -116,7 +122,7 @@ def ref_column_echelon(g):
         if f != 1:
             col[:] = [x / f if x else x for x in col]
         pivots.append(p)
-    return (linalg.transpose(cols), tuple(p + 1 for p in pivots),
+    return (transpose(cols), tuple(p + 1 for p in pivots),
             tuple(map(tuple, u)))
 
 
@@ -288,7 +294,7 @@ def ref_stratum(b):
     rep, and the position of rep_weyl(w0)^{-1} * rep."""
     w0 = weyl.longest_element(b.n)
     w = weyl.multiply(w0, linalg.bruhat_factor_plus(b.rep)[1])
-    w0_inv = linalg.transpose(rep_weyl(w0))
+    w0_inv = transpose(rep_weyl(w0))
     wp = linalg.bruhat_factor_plus(mat_mul(w0_inv, b.rep))[1]
     return CellIndex(w, wp)
 
@@ -331,3 +337,27 @@ def marsh_rietsch_point(v, w, t):
     for i, in_v in zip(word, used):
         g = mat_mul(g, rep_simple(n, i) if in_v else gen_y(n, i, next(params)))
     return borel_from(g)
+
+
+def chart_value(result):
+    """eval_chart of a classify result's chart on the result's coordinates."""
+    return eval_chart(build_chart(result.index.w, result.index.wp), result.coords)
+
+
+def ref_classify(b):
+    """richardson.classify with the full re-evaluation as its round trip:
+    the chart is evaluated again on the recovered coordinates, and the
+    result must be b itself."""
+    idx = stratum(b)
+    chart = build_chart(idx.w, idx.wp)
+    try:
+        coords = invert_chart(chart, b)
+    except InternalInconsistency:
+        raise
+    except TnnError as exc:
+        return ClassifyResult(chart.index, (), False, type(exc).__name__)
+    if eval_chart(chart, coords) != b:
+        return ClassifyResult(chart.index, coords, False, "RoundTripMismatch")
+    if any(c < 0 for c in coords):
+        return ClassifyResult(chart.index, coords, False, "NegativeCoordinate")
+    return ClassifyResult(chart.index, coords, True, "ok")

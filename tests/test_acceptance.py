@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import rand_params, rand_rat, report_text, subword_leq
+from conftest import chart_value, rand_params, rand_rat, report_text, subword_leq
 from tnnflag import audit, linalg, richardson, weyl
 from tnnflag.audit import audit_decomposition, audit_semigroup
 from tnnflag.flag import CellIndex, act, b_plus, borel_from, stratum
@@ -168,6 +168,7 @@ def test_criterion_06_open_cell_and_boundary():
         assert result.nonneg
         assert result.index == CellIndex(weyl.multiply(w0, v), w0)
         assert all(c > 0 for c in result.coords)
+        assert chart_value(result) == b
 
     _criterion(6, "subword samples classify into ((w0 v, w0), positive)", body)
 
@@ -181,6 +182,7 @@ def test_criterion_07_base_points():
                 result = classify(b)
                 assert result.index == CellIndex(w, w)
                 assert result.coords == () and result.nonneg
+                assert chart_value(result) == b
                 bases.add(b)
             conjugates = {borel_from(rep_weyl(w)) for w in weyl.all_perms(n)}
             assert bases == conjugates

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     cell_point, is_upper_unitriangular, rand_rat, random_sl, ref_column_echelon,
-    ref_mat_mul, sparse_sl,
+    ref_mat_mul, sparse_sl, transpose,
 )
 from tnnflag import linalg, richardson, weyl
 from tnnflag.errors import (
@@ -18,7 +18,8 @@ from tnnflag.errors import (
 from tnnflag.flag import act, borel_from
 from tnnflag.linalg import (
     Rat, bruhat_factor_plus, det, gen_x, gen_y, identity_mat, mat, mat_inv,
-    mat_mul, minor, opposite_big_cell_factor, rep_simple, rep_weyl, y_product,
+    mat_mul, minor, opposite_big_cell_factor, rep_simple, rep_weyl, weyl_mul,
+    y_product,
 )
 
 
@@ -44,7 +45,7 @@ class TestGenerators:
 
     def test_gen_y_transpose(self):
         a = Rat(3, 7)
-        assert gen_y(3, 2, a) == linalg.transpose(gen_x(3, 2, a))
+        assert gen_y(3, 2, a) == transpose(gen_x(3, 2, a))
 
     def test_gen_y_triple_product(self):
         m = mat_mul(mat_mul(gen_y(3, 1, 2), gen_y(3, 2, 3)), gen_y(3, 1, 5))
@@ -102,7 +103,7 @@ class TestRepresentatives:
                 for i in weyl.reduced_word(w):
                     m = mat_mul(m, rep_simple(n, i))
                 assert rep_weyl(w) == m, w
-                assert linalg.transpose(rep_weyl(w)) == mat_inv(m), w
+                assert transpose(rep_weyl(w)) == mat_inv(m), w
 
     def test_longest_element_squares_to_a_sign(self):
         # so rep_weyl(w0) and its inverse differ by the scalar (-1)^(n-1)
@@ -115,6 +116,31 @@ class TestRepresentatives:
     def test_det_one(self):
         for w in weyl.all_perms(4):
             assert det(rep_weyl(w)) == 1
+
+
+class TestWeylMul:
+    """weyl_mul moves and negates rows or columns; mat_mul with rep_weyl(w)
+    is its reference.  The identity is among the inputs, so rep_weyl is
+    the same matrix applied from either side."""
+
+    def test_matches_mat_mul_on_both_sides(self):
+        rng = random.Random(91)
+        for n in range(1, 6):
+            mats = [identity_mat(n), random_sl(n, rng) if n > 1 else identity_mat(1)]
+            mats += [tuple(tuple(rand_rat(rng) if rng.random() < 0.7 else Rat(0)
+                                 for _ in range(n)) for _ in range(n))
+                     for _ in range(2)]
+            for w in weyl.all_perms(n):
+                r = rep_weyl(w)
+                for m in mats:
+                    assert weyl_mul(w, m) == mat_mul(r, m), (w, m)
+                    assert weyl_mul(w, m, right=True) == mat_mul(m, r), (w, m)
+
+    def test_size_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            weyl_mul(weyl.identity(3), identity_mat(2))
+        with pytest.raises(ShapeMismatch):
+            weyl_mul(weyl.identity(2), identity_mat(3), right=True)
 
 
 class TestMinor:
@@ -138,7 +164,7 @@ class TestBruhatFactor:
     @staticmethod
     def _right_factor_is_upper(g, b1, w):
         # b2 = rep(w)^-1 * b1^-1 * g, so g = b1 * rep(w) * b2 exactly
-        b2 = mat_mul(linalg.transpose(rep_weyl(w)), mat_mul(mat_inv(b1), g))
+        b2 = mat_mul(transpose(rep_weyl(w)), mat_mul(mat_inv(b1), g))
         return linalg.is_upper_triangular(b2)
 
     def test_upper_triangular(self):
@@ -245,7 +271,7 @@ class TestOppositeBigCell:
 
     def test_reconstruction(self):
         rng = random.Random(7)
-        w0_inv = linalg.transpose(rep_weyl(weyl.longest_element(3)))
+        w0_inv = transpose(rep_weyl(weyl.longest_element(3)))
         for _ in range(50):
             g = random_sl(3, rng)
             try:

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import (
-    flag_minors_tnn, key_chart_lower, key_chart_upper, marsh_rietsch_point,
-    rand_params, rand_rat, random_sl, ref_phi_up, ref_stratum, sparse_sl,
+    cell_point, chart_value, flag_minors_tnn, key_chart_lower, key_chart_upper,
+    marsh_rietsch_point, rand_params, rand_rat, random_sl, ref_classify,
+    ref_phi_up, ref_stratum, sparse_sl,
 )
 from tnnflag import linalg, richardson, weyl
 from tnnflag.errors import (
@@ -73,6 +74,7 @@ class TestPhiDown:
                 assert result.nonneg
                 assert result.index == CellIndex(weyl.identity(3), u)
                 assert all(c > 0 for c in result.coords)
+                assert chart_value(result) == image
 
 
 class TestPhiUp:
@@ -159,10 +161,13 @@ class TestMarshRietsch:
         for v, w in pairs:
             w0 = weyl.longest_element(len(w))
             t = rand_params(rng, weyl.length(w) - weyl.length(v), positive=True)
-            result = classify(marsh_rietsch_point(v, w, t))
+            b = marsh_rietsch_point(v, w, t)
+            result = classify(b)
             assert result.nonneg, (v, w)
             assert result.index == CellIndex(weyl.multiply(w0, w), weyl.multiply(w0, v))
             assert len(result.coords) == len(t) and all(c > 0 for c in result.coords)
+            assert result == ref_classify(b)
+            assert chart_value(result) == b
 
     def test_a_negative_parameter(self):
         rng = random.Random(80)
@@ -172,7 +177,12 @@ class TestMarshRietsch:
                 continue
             t = list(rand_params(rng, dim, positive=True))
             t[k % dim] *= -1
-            assert not classify(marsh_rietsch_point(v, w, t)).nonneg, (v, w, t)
+            b = marsh_rietsch_point(v, w, t)
+            result = classify(b)
+            assert not result.nonneg, (v, w, t)
+            assert result == ref_classify(b)
+            if result.coords:
+                assert chart_value(result) == b
 
 
 class TestPi:
@@ -319,6 +329,37 @@ class TestPsiInv:
         with pytest.raises((NotInBigCell, NotInChartImage)):
             psi_inv(weyl.identity(2), weyl.simple(2, 1), 1, b_plus(2))
 
+    def test_residual_check_compares_every_entry(self, monkeypatch):
+        # the big-cell witnesses are injected: x_full = x_partial * x_{i'}(a)
+        # is accepted with that a, and changing any entry of x_full other
+        # than (i', i'+1), which only changes a, is rejected
+        rng = random.Random(140)
+        n = 4
+        for w, wp, i in _descent_pairs(n)[::9]:
+            b = eval_chart(build_chart(w, wp), rand_params(rng, weyl.length(wp) - weyl.length(w)))
+            ip = n - i
+            x_partial = tuple(tuple(Rat(1) if r == c else rand_rat(rng) if c > r else Rat(0)
+                                    for c in range(n)) for r in range(n))
+            a = rand_rat(rng)
+            x_full = mat_mul(x_partial, gen_x(n, ip, a))
+            cases = [(x_full, True)]
+            for r in range(n):
+                for c in range(n):
+                    if (r, c) != (ip - 1, ip):
+                        rows = [list(row) for row in x_full]
+                        rows[r][c] += 1
+                        cases.append((tuple(map(tuple, rows)), False))
+            for x, accepted in cases:
+                witnesses = iter([x, x_partial])
+                with monkeypatch.context() as patch:
+                    patch.setattr(linalg, "opposite_big_cell_factor",
+                                  lambda g: next(witnesses))
+                    if accepted:
+                        assert psi_inv(w, wp, i, b)[1] == a
+                    else:
+                        with pytest.raises(NotInChartImage):
+                            psi_inv(w, wp, i, b)
+
 
 class TestBasePoints:
     def test_b_plus_base(self):
@@ -458,20 +499,27 @@ class TestClassify:
         w0 = weyl.longest_element(3)
         assert result.index == CellIndex(w0, w0)
         assert result.coords == () and result.nonneg
+        assert chart_value(result) == b_plus(3)
 
     def test_sl2_both_signs(self):
-        pos = classify(act(gen_y(2, 1, 1), b_plus(2)))
+        pos_point = act(gen_y(2, 1, 1), b_plus(2))
+        pos = classify(pos_point)
         assert pos.nonneg and pos.coords == (1,)
-        neg = classify(act(gen_y(2, 1, -1), b_plus(2)))
+        assert chart_value(pos) == pos_point
+        neg_point = act(gen_y(2, 1, -1), b_plus(2))
+        neg = classify(neg_point)
         assert not neg.nonneg and neg.coords == (-1,)
         assert neg.reason == "NegativeCoordinate"
+        assert chart_value(neg) == neg_point
 
     def test_sl3_open(self):
         u = mat_mul(mat_mul(gen_y(3, 1, 1), gen_y(3, 2, 1)), gen_y(3, 1, 1))
-        result = classify(act(u, b_plus(3)))
+        b = act(u, b_plus(3))
+        result = classify(b)
         assert result.nonneg
         assert result.index == CellIndex(weyl.identity(3), weyl.longest_element(3))
         assert all(c > 0 for c in result.coords)
+        assert chart_value(result) == b
 
     def test_y_conjugation_preserves_verdict(self):
         rng = random.Random(23)
@@ -508,6 +556,9 @@ class TestClassify:
             expected = flag_minors_tnn(b.rep)
             result = classify(b)
             assert result.nonneg == expected, linalg.mat_to_json(b.rep)
+            assert result == ref_classify(b)
+            if result.coords:
+                assert chart_value(result) == b
             verdicts.add(expected)
             reasons.add(result.reason)
         assert verdicts == {True, False}
@@ -524,16 +575,106 @@ class TestClassify:
     def test_result_is_slotted_and_shares_the_chart_index(self, u, expected):
         letters, params = zip(*u)
         g = y_product(3, letters, [Rat(a) for a in params])
-        result = classify(act(g, b_plus(3)))
+        b = act(g, b_plus(3))
+        result = classify(b)
+        assert chart_value(result) == b
         assert not hasattr(result, "__dict__")
         w, wp = result.index.w, result.index.wp
         assert result.index is build_chart(w, wp).index
         assert result.to_json() == expected
 
     def test_result_serialization(self):
-        result = classify(act(gen_y(2, 1, Rat(1, 3)), b_plus(2)))
+        b = act(gen_y(2, 1, Rat(1, 3)), b_plus(2))
+        result = classify(b)
+        assert chart_value(result) == b
         data = result.to_json()
         # the chart coordinate of the line span(1, a) is 1/a (the x-side
         # big-cell coordinate of the same point)
         assert data == {"w": "1,2", "wp": "2,1", "coords": ["3"],
                         "nonneg": True, "reason": "ok"}
+
+
+class TestOneWalkRoundTrip:
+    """classify proves its round trip on the inversion's own points;
+    ref_classify (tests/conftest.py) evaluates the chart again."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_agrees_with_the_full_re_evaluation(self, n):
+        rng = random.Random(120 + n)
+        count = {2: 20, 3: 30, 4: 20, 5: 10}[n]
+        perms = weyl.all_perms(n)
+        flags = [borel_from(random_sl(n, rng)) for _ in range(count)]
+        flags += [borel_from(sparse_sl(n, rng)) for _ in range(count)]
+        flags += [borel_from(cell_point(rng.choice(perms), rng)) for _ in range(count)]
+        reasons = set()
+        for b in flags:
+            result = classify(b)
+            assert result == ref_classify(b), linalg.mat_to_json(b.rep)
+            if result.coords:
+                assert chart_value(result) == b
+            reasons.add(result.reason)
+        assert "ok" in reasons and len(reasons) > 1
+
+    @staticmethod
+    def _after_inversion(monkeypatch, fault):
+        """Let the inversion run untouched; afterwards, phi_down(w, v, b)
+        returns fault(b) instead of its image."""
+        real_invert, real_phi_down = richardson._invert, richardson.phi_down
+        inverted = []
+
+        def invert(*args):
+            out = real_invert(*args)
+            inverted.append(True)
+            return out
+
+        def phi_down(w, v, b):
+            return fault(b) if inverted else real_phi_down(w, v, b)
+
+        monkeypatch.setattr(richardson, "_invert", invert)
+        monkeypatch.setattr(richardson, "phi_down", phi_down)
+
+    @staticmethod
+    def _to_b_plus(b):
+        return b_plus(b.n)
+
+    def test_a_failed_peel_check_is_a_round_trip_mismatch(self, monkeypatch):
+        rng = random.Random(131)
+        chart = build_chart(weyl.identity(3), (2, 3, 1))
+        assert any(step[0] == "peel" for step in chart.steps)
+        for positive in (True, False):
+            params = rand_params(rng, chart.dim, positive=positive)
+            b = eval_chart(chart, params)
+            assert classify(b).reason == ("ok" if positive else "NegativeCoordinate")
+            with monkeypatch.context() as patch:
+                self._after_inversion(patch, self._to_b_plus)
+                result = classify(b)
+            assert result == richardson.ClassifyResult(
+                chart.index, params, False, "RoundTripMismatch")
+
+    def test_inversion_errors_come_first(self, monkeypatch):
+        # a flag whose inversion fails keeps that reason and no coordinates,
+        # even when every peel check would fail
+        rng = random.Random(132)
+        failed = 0
+        for _ in range(40):
+            b = borel_from(sparse_sl(4, rng))
+            expected = classify(b)
+            if expected.reason in ("ok", "NegativeCoordinate"):
+                continue
+            with monkeypatch.context() as patch:
+                self._after_inversion(patch, self._to_b_plus)
+                assert classify(b) == expected
+            assert expected.coords == () and not expected.nonneg
+            failed += 1
+        assert failed > 0
+
+    def test_an_error_in_a_check_propagates(self, monkeypatch):
+        chart = build_chart(weyl.identity(3), (2, 3, 1))
+        b = eval_chart(chart, (Rat(1),) * chart.dim)
+
+        def fault(_b):
+            raise WrongCell("injected")
+
+        self._after_inversion(monkeypatch, fault)
+        with pytest.raises(WrongCell, match="injected"):
+            classify(b)

@@ -53,18 +53,42 @@ CACHED = {
 }
 
 
-def cached_functions(path: Path) -> set[str]:
-    """module.function for each function decorated with a functools cache."""
-    found = set()
+# caches with no size bound; both wait on the benchmark worker, which
+# clears them between census passes
+UNBOUNDED = {"richardson.build_chart", "weyl.bruhat_pairs"}
+
+
+def cached_functions(path: Path) -> dict[str, bool]:
+    """module.function -> whether its functools cache is unbounded, for each
+    function decorated with one."""
+    found = {}
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for decorator in node.decorator_list:
                 target = getattr(decorator, "func", decorator)
                 name = getattr(target, "attr", getattr(target, "id", None))
-                if name in ("lru_cache", "cache"):
-                    found.add(f"{path.stem}.{node.name}")
+                if name == "cache":
+                    found[f"{path.stem}.{node.name}"] = True
+                elif name == "lru_cache":
+                    # a bare @lru_cache is bounded at 128
+                    bound = getattr(decorator, "args", [])[:1] + [
+                        k.value for k in getattr(decorator, "keywords", ())
+                        if k.arg == "maxsize"]
+                    found[f"{path.stem}.{node.name}"] = bool(bound) and (
+                        isinstance(bound[0], ast.Constant) and bound[0].value is None)
+    return found
+
+
+def _all_caches() -> dict[str, bool]:
+    found = {}
+    for path in MODULES:
+        found.update(cached_functions(path))
     return found
 
 
 def test_caches_are_allowlisted():
-    assert set().union(*map(cached_functions, MODULES)) == CACHED
+    assert set(_all_caches()) == CACHED
+
+
+def test_only_the_allowlisted_caches_are_unbounded():
+    assert {name for name, unbounded in _all_caches().items() if unbounded} == UNBOUNDED

@@ -91,14 +91,15 @@ def cmd_cells(args) -> int:
     _check_rank(args.n)
     charts = [richardson.build_chart(w, wp) for w, wp in weyl.bruhat_pairs(args.n)]
     top_dim = max(chart.dim for chart in charts)
+    # each permutation is quoted once for the run, not once per cell
+    quoted = {w: json.dumps(weyl.perm_to_str(w)) for w in weyl.all_perms(args.n)}
     with _open_output(args) as fh:
         fh.write('{\n  "cells": [')
         for k, chart in enumerate(charts):
             fh.write(",\n" if k else "\n")
             fh.write(_CELL.format(
                 chart.dim, json.dumps(chart.shape()),
-                json.dumps(weyl.perm_to_str(chart.index.w)),
-                json.dumps(weyl.perm_to_str(chart.index.wp)),
+                quoted[chart.index.w], quoted[chart.index.wp],
             ))
         fh.write(f'\n  ],\n  "count": {len(charts)},\n  "n": {args.n},\n'
                  f'  "top_dimensional_cells": '

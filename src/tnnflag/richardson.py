@@ -5,10 +5,14 @@ to w = w': "peeling" by the maximal length-additive v, which transports
 R_{w,w'} isomorphically to R_{wv,w'v} without adding coordinates, and
 "extending" along the smallest s with w <= ws and w's <= w', which adds one
 coordinate through the map psi.  Both choices are canonical, so a chart is
-a base point and its list of steps outward: evaluation folds forward over
-the steps and inversion backward.  Positive parameters land in the totally
-nonnegative part of the stratum; the classifier inverts the chart of any
-rational flag and decides from the signs after an exact round trip.
+its own last step and a link to the chart of the pair that step starts
+from, down to a base point: evaluation folds forward from the base and
+inversion walks the links backward.  Every chart is built once and shared
+through the cache of ``build_chart``, and the permutations it stores are
+shared too, so the census of all cells holds each step once.  Positive
+parameters land in the totally nonnegative part of the stratum; the
+classifier inverts the chart of any rational flag and decides from the
+signs after an exact round trip.
 
 The round trip is proved on the points the inversion computes, with no
 second walk.  Inverting b = b_m walks inward through b_{m-1}, ..., b_0 and
@@ -25,12 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import linalg, weyl
 from .errors import (
-    InternalInconsistency, LengthNotAdditive, NotComparable, NotInChartImage,
-    ParamCountMismatch, TnnError, WrongCell, WrongStratum, ZeroParameter,
+    InternalInconsistency, LengthNotAdditive, NotInChartImage, ParamCountMismatch,
+    TnnError, WrongCell, WrongStratum, ZeroParameter,
 )
 from .flag import BorelPt, CellIndex, borel_from, stratum
 from .linalg import (
@@ -159,25 +163,44 @@ def psi_inv(w: Perm, wp: Perm, s_index: int, b: BorelPt) -> tuple[BorelPt, "Rat"
 
 @dataclass(frozen=True, slots=True)
 class Chart:
-    """Chart for R_{w,w'}: the base point of R_{u,u} and the steps out of it.
+    """Chart for R_{w,w'}: its last step, linked to the chart that step
+    starts from.
 
-    ``steps`` runs from the base outward; each step maps onto its own pair
-    (w, w'):
+    ``index`` is the pair (w, w') the step maps onto, ``base`` the u of the
+    innermost chart R_{u,u}, and ``inner`` the chart of the pair the step
+    starts from, ``None`` for the base chart itself.  The step is
 
-    - ``("peel", w, w', v)``: phi_down from R_{wv,w'v}, no new coordinate;
-    - ``("extend", w, w', i)``: psi from R_{w,w's_i}, one new coordinate;
-      its conjugating y-element is a function of w.
+    - ``kind == "peel"``: phi_down from R_{wv,w'v} with ``arg == v``, no new
+      coordinate;
+    - ``kind == "extend"``: psi from R_{w,w's_i} with ``arg == i``, one new
+      coordinate; its conjugating y-element is a function of w.
+
+    The base chart has ``kind`` and ``arg`` ``None``.
     """
 
     index: CellIndex
     dim: int
     base: Perm
-    steps: tuple
+    inner: Chart | None
+    kind: str | None
+    arg: Perm | int | None
+
+    def links(self) -> Iterator[Chart]:
+        """The charts of the steps from the outside in, without the base."""
+        chart = self
+        while chart.inner is not None:
+            yield chart
+            chart = chart.inner
+
+    @property
+    def steps(self) -> tuple:
+        """``(kind, w, w', arg)`` for each step, from the base outward."""
+        return tuple((c.kind, c.index.w, c.index.wp, c.arg) for c in self.links())[::-1]
 
     def shape(self) -> str:
         """The steps from the outside in, e.g. ``peel(2,1,3) -> extend(s2) -> base``."""
-        parts = [f"peel({weyl.perm_to_str(step[3])})" if step[0] == "peel"
-                 else f"extend(s{step[3]})" for step in reversed(self.steps)]
+        parts = [f"peel({weyl.perm_to_str(c.arg)})" if c.kind == "peel"
+                 else f"extend(s{c.arg})" for c in self.links()]
         return " -> ".join(parts + ["base"])
 
 
@@ -196,22 +219,34 @@ def base_point(w: Perm) -> BorelPt:
     return b
 
 
+@lru_cache(maxsize=weyl.PERMS_UNDER_RANK_BOUND)
+def _shared(w: Perm) -> Perm:
+    """The one copy of w that charts store and pass as cache keys.
+
+    Equal permutations are equal whichever copy is used, so a copy dropped
+    from this cache only costs memory.
+    """
+    return w
+
+
 @lru_cache(maxsize=None)
 def build_chart(w: Perm, wp: Perm) -> Chart:
-    """Build the chart for (w, w') by peeling and descent-pair extension."""
-    if not weyl.bruhat_leq(w, wp):
-        raise NotComparable(f"{w} is not <= {wp} in Bruhat order")
-    index = CellIndex(w, wp)
+    """Build the chart for (w, w') by peeling and descent-pair extension.
+
+    ``weyl.peel`` raises ``NotComparable`` unless w <= w'.
+    """
+    w, wp = _shared(w), _shared(wp)
     if w == wp:
-        return Chart(index, 0, w, ())
+        return Chart(CellIndex(w, wp), 0, w, None, None, None)
     v = weyl.peel(w, wp)
+    index = CellIndex(w, wp)
     if v != weyl.identity(len(w)):
-        inner = build_chart(weyl.multiply(w, v), weyl.multiply(wp, v))
-        return Chart(index, inner.dim, inner.base, inner.steps + (("peel", w, wp, v),))
+        v = _shared(v)
+        inner = build_chart(_shared(weyl.multiply(w, v)), _shared(weyl.multiply(wp, v)))
+        return Chart(index, inner.dim, inner.base, inner, "peel", v)
     i = weyl.find_descent_pair(w, wp)
-    inner = build_chart(w, weyl.right_mult_simple(wp, i))
-    step = ("extend", w, wp, i)
-    return Chart(index, inner.dim + 1, inner.base, inner.steps + (step,))
+    inner = build_chart(w, _shared(weyl.right_mult_simple(wp, i)))
+    return Chart(index, inner.dim + 1, inner.base, inner, "extend", i)
 
 
 def eval_chart(chart: Chart, params: Sequence) -> BorelPt:
@@ -246,13 +281,14 @@ def _invert(chart: Chart, b: BorelPt) -> tuple[tuple, list]:
     """The coordinates of b, and (w', v, inner, outer) for each peel step
     with inner = phi_up(w, v, outer): the data of its round-trip check."""
     coords, peels = [], []
-    for kind, w, wp, arg in reversed(chart.steps):
-        if kind == "peel":
-            inner = phi_up(w, arg, b)
-            peels.append((wp, arg, inner, b))
+    for step in chart.links():
+        w, wp = step.index.w, step.index.wp
+        if step.kind == "peel":
+            inner = phi_up(w, step.arg, b)
+            peels.append((wp, step.arg, inner, b))
             b = inner
         else:
-            b, a = psi_inv(w, wp, arg, b)
+            b, a = psi_inv(w, wp, step.arg, b)
             coords.append(a)
     if b != base_point(chart.base):
         raise NotInChartImage("point differs from the unique base point")

@@ -6,8 +6,8 @@ import pytest
 
 from tnnflag import linalg, weyl
 from tnnflag.errors import (
-    InternalInconsistency, LengthNotAdditive, ParamCountMismatch, ShapeMismatch,
-    Singular, TnnError, WrongCell,
+    InternalInconsistency, LengthNotAdditive, NotComparable, ParamCountMismatch,
+    ShapeMismatch, Singular, TnnError, WrongCell,
 )
 from tnnflag.flag import CellIndex, act, b_minus, b_plus, borel_from, stratum
 from tnnflag.linalg import (
@@ -152,6 +152,30 @@ def ref_peel(w, wp):
                 break
         else:
             return v
+
+
+def ref_build_chart(w, wp):
+    """build_chart as a flat step list, each chart copying its inner chart's
+    steps: (dim, base, steps), with steps from the base outward, each
+    ("peel", w, w', v) or ("extend", w, w', i)."""
+    if not weyl.bruhat_leq(w, wp):
+        raise NotComparable(f"{w} is not <= {wp} in Bruhat order")
+    if w == wp:
+        return 0, w, ()
+    v = weyl.peel(w, wp)
+    if v != weyl.identity(len(w)):
+        dim, base, steps = ref_build_chart(weyl.multiply(w, v), weyl.multiply(wp, v))
+        return dim, base, steps + (("peel", w, wp, v),)
+    i = weyl.find_descent_pair(w, wp)
+    dim, base, steps = ref_build_chart(w, weyl.right_mult_simple(wp, i))
+    return dim + 1, base, steps + (("extend", w, wp, i),)
+
+
+def ref_shape(steps):
+    """Chart.shape() read from a flat step list."""
+    parts = [f"peel({weyl.perm_to_str(step[3])})" if step[0] == "peel"
+             else f"extend(s{step[3]})" for step in reversed(steps)]
+    return " -> ".join(parts + ["base"])
 
 
 def rank(rows):

@@ -73,7 +73,8 @@ class TestCells:
     @pytest.mark.parametrize("n, digest", [
         (4, "7e88253f46dd4c68272fa85f18283a256d882e977d1e4206cab01e083d24dc5b"),
         (5, "d387cf5d87206d6f5f518eb58eb6a274449001773c28e30cf19015ebdd6ec96e"),
-    ], ids=["n4", "n5"])
+        (6, "341b038e78a672d4874d5f10d5683f0b397b1dc7ec928211661609244ca4c7c9"),
+    ], ids=["n4", "n5", "n6"])
     def test_pinned_output(self, capsys, n, digest):
         code, out = run(capsys, "cells", "--n", str(n))
         assert code == 0
@@ -109,6 +110,14 @@ class TestEval:
                                  "--w", letter, "--wp", "s1")
         assert code == 5
         assert out == "" and len(err.splitlines()) == 1
+
+    def test_not_comparable(self, capsys):
+        # (2,1,3) and (1,3,2) are incomparable in Bruhat order
+        code, out, err = run_err(capsys, "eval", "--n", "3", "--w", "2,1,3",
+                                 "--wp", "1,3,2")
+        assert code == 5
+        assert out == "" and len(err.splitlines()) == 1
+        assert "Bruhat order" in err
 
     def test_zero_param(self, capsys):
         code, _ = run(capsys, "eval", "--n", "2", "--w", "1,2",

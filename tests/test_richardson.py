@@ -5,13 +5,13 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import (
     cell_point, chart_value, flag_minors_tnn, key_chart_lower, key_chart_upper,
-    marsh_rietsch_point, rand_params, rand_rat, random_sl, ref_classify,
-    ref_phi_up, ref_stratum, sparse_sl,
+    marsh_rietsch_point, rand_params, rand_rat, random_sl, ref_build_chart,
+    ref_classify, ref_phi_up, ref_shape, ref_stratum, sparse_sl, subword_leq,
 )
 from tnnflag import linalg, richardson, weyl
 from tnnflag.errors import (
-    NotInBigCell, NotInChartImage, ParamCountMismatch, WrongCell, WrongStratum,
-    ZeroParameter,
+    NotComparable, NotInBigCell, NotInChartImage, ParamCountMismatch, WrongCell,
+    WrongStratum, ZeroParameter,
 )
 from tnnflag.flag import CellIndex, act, b_minus, b_plus, borel_from, stratum
 from tnnflag.linalg import (
@@ -471,6 +471,58 @@ class TestCharts:
         assert result.index == CellIndex(w, wp) and result.coords == params
         assert result.nonneg == all(p > 0 for p in params)
         assert result.reason == ("ok" if result.nonneg else "NegativeCoordinate")
+
+
+class TestChartLinks:
+    """A chart is its last step linked to the cached chart of its inner pair."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_the_step_copying_reference(self, n):
+        for w, wp in weyl.bruhat_pairs(n):
+            chart = build_chart(w, wp)
+            dim, base, steps = ref_build_chart(w, wp)
+            assert chart.index == CellIndex(w, wp)
+            assert (chart.dim, chart.base, chart.steps) == (dim, base, steps)
+            assert chart.shape() == ref_shape(steps)
+
+    def test_inner_is_the_cached_chart_of_the_inner_pair(self):
+        for n in (2, 3, 4, 5):
+            for w, wp in weyl.bruhat_pairs(n):
+                chart = build_chart(w, wp)
+                if w == wp:
+                    assert (chart.inner, chart.kind, chart.arg) == (None, None, None)
+                    continue
+                if chart.kind == "peel":
+                    pair = (weyl.multiply(w, chart.arg), weyl.multiply(wp, chart.arg))
+                else:
+                    assert chart.kind == "extend"
+                    pair = (w, weyl.right_mult_simple(wp, chart.arg))
+                assert chart.inner is build_chart(*pair)
+
+    def test_equal_permutations_are_one_object(self):
+        # rebuilt from empty caches, so that every chart is built here
+        build_chart.cache_clear()
+        richardson._shared.cache_clear()
+        objects = {}
+        for n in (2, 3, 4, 5):
+            for w, wp in weyl.bruhat_pairs(n):
+                # fresh copies, as a caller parsing its input would pass
+                link = build_chart(tuple(list(w)), tuple(list(wp)))
+                while link is not None:
+                    stored = [link.index.w, link.index.wp, link.base]
+                    if link.kind == "peel":
+                        stored.append(link.arg)
+                    for p in stored:
+                        assert objects.setdefault(p, p) is p
+                    link = link.inner
+
+    def test_incomparable_pairs_raise(self):
+        perms = weyl.all_perms(3)
+        incomparable = [(u, w) for u in perms for w in perms if not subword_leq(u, w)]
+        assert len(incomparable) == 36 - 19
+        for u, w in incomparable:
+            with pytest.raises(NotComparable):
+                build_chart(u, w)
 
 
 class TestEquivariance:

@@ -48,7 +48,7 @@ def test_every_import_is_used(path):
 CACHED = {
     "linalg.rep_weyl",
     "richardson.base_point", "richardson.build_chart",
-    "richardson.conjugator_word", "richardson._conjugator",
+    "richardson.conjugator_word", "richardson._conjugator", "richardson._shared",
     "weyl._prefix_key", "weyl.bruhat_pairs", "weyl.perm_to_str",
 }
 

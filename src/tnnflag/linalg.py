@@ -1,8 +1,7 @@
 """Exact rational linear algebra for SL_n.
 
-Matrices are immutable tuples of tuples of exact rationals.  ``gmpy2.mpq``
-is used when available (it is markedly faster), with ``fractions.Fraction``
-as a drop-in fallback; the two are interchangeable value types.
+Matrices are immutable tuples of tuples of exact rationals, with
+``fractions.Fraction`` as the one rational type ``Rat``.
 
 Chevalley generators x_i(a), y_i(a) and the pinned Weyl representatives
 live here, together with the one elimination everything geometric
@@ -20,20 +19,15 @@ The echelon is fraction-free: it clears denominators column by column,
 eliminates on Python ints by cross-multiplication with content removal,
 and proves its result in integers before it converts c back to
 rationals.  That proof is the reconstruction check of the Bruhat
-factorization as well.  ``mat_mul``, ``det`` and ``mat_inv`` stay
-rational.
+factorization as well, and ``det`` reads its pivot product, so every
+nonzero minor carries it.  ``mat_mul`` and ``mat_inv`` stay rational.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from fractions import Fraction as Rat
 from typing import Iterable, Sequence
-
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as Rat
 
 from . import weyl
 from .errors import (
@@ -107,26 +101,13 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def det(a: Mat) -> "Rat":
-    """Determinant by fraction-exact Gaussian elimination."""
-    n = len(a)
-    m = [list(row) for row in a]
-    sign = 1
-    d = ONE
-    for j in range(n):
-        p = next((i for i in range(j, n) if m[i][j] != 0), None)
-        if p is None:
-            return ZERO
-        if p != j:
-            m[j], m[p] = m[p], m[j]
-            sign = -sign
-        pivot = m[j][j]
-        d *= pivot
-        for i in range(j + 1, n):
-            if m[i][j] != 0:
-                f = m[i][j] / pivot
-                for k in range(j, n):
-                    m[i][k] -= f * m[j][k]
-    return d if sign == 1 else -d
+    """Determinant read from the column echelon: sgn(w) times the pivot
+    product, or 0 when the echelon finds a is singular."""
+    try:
+        _, w, pivot_product = column_echelon(a)
+    except Singular:
+        return ZERO
+    return -pivot_product if weyl.length(w) % 2 else pivot_product
 
 
 def mat_inv(a: Mat) -> Mat:
@@ -220,7 +201,6 @@ def weyl_mul(w: Perm, m: Mat, *, right: bool = False) -> Mat:
     return tuple(rows)
 
 
-@lru_cache(maxsize=weyl.PERMS_UNDER_RANK_BOUND)
 def rep_weyl(w: Perm) -> Mat:
     """Representative of w: ``weyl_mul`` applied to the identity.
 
@@ -267,11 +247,11 @@ def column_echelon(g: Mat) -> tuple[Mat, Perm, "Rat"]:
     scales = []
     cols = []
     for column in zip(*g):
-        nums, dens = zip(*(x.as_integer_ratio() for x in column))
-        dens = tuple(map(int, dens))
+        dens = [x.denominator for x in column]
         d = math.lcm(*dens)
         scales.append(d)
-        cols.append([p if q == d else p * (d // q) for p, q in zip(map(int, nums), dens)])
+        cols.append([x.numerator if q == d else x.numerator * (d // q)
+                     for x, q in zip(column, dens)])
     echelon: list[list[int]] = []
     ts: list[list[int]] = []
     ss: list[int] = []

@@ -131,7 +131,7 @@ def psi(w: Perm, wp: Perm, s_index: int, b: BorelPt, a) -> BorelPt:
 
 
 def _psi_inv_with(
-    y: Mat, y_inv: Mat, w: Perm, wp: Perm, s_index: int, b: BorelPt
+    y: Mat, w: Perm, wp: Perm, s_index: int, b: BorelPt
 ) -> tuple[BorelPt, "Rat"]:
     n = b.n
     p = pi(w, wp, s_index, b)
@@ -153,8 +153,8 @@ def _psi_inv_with(
 
 def psi_inv(w: Perm, wp: Perm, s_index: int, b: BorelPt) -> tuple[BorelPt, "Rat"]:
     """Inverse of psi on its image: (pi(b), recovered parameter)."""
-    y, y_inv = _conjugator(len(w), conjugator_word(w))
-    return _psi_inv_with(y, y_inv, w, wp, s_index, b)
+    y, _ = _conjugator(len(w), conjugator_word(w))
+    return _psi_inv_with(y, w, wp, s_index, b)
 
 
 # ---------------------------------------------------------------------------

@@ -165,9 +165,7 @@ def bruhat_leq(u: Perm, w: Perm) -> bool:
     return all(map(operator.le, _prefix_key(u), _prefix_key(w)))
 
 
-# S_6 has 720 elements; a bound a few times that keeps every rank up to
-# the default bound cached while capping memory at larger bounds
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=PERMS_UNDER_RANK_BOUND)
 def _prefix_key(w: Perm) -> tuple[int, ...]:
     """sorted(w[:k]) for k = 1..n-1, concatenated."""
     return tuple(x for k in range(1, len(w)) for x in sorted(w[:k]))
@@ -193,7 +191,7 @@ def _upper_covers(u: Perm) -> Iterator[Perm]:
                 yield tuple(v)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DEFAULT_MAX_RANK)
 def bruhat_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
     """All pairs (w, w') with w <= w', ordered by w, then by w', each in
     the order of ``all_perms``.
@@ -256,7 +254,7 @@ def find_descent_pair(w: Perm, wp: Perm) -> int:
     raise NoDescentPair(f"no simple reflection raises {w} and lowers {wp}")
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=PERMS_UNDER_RANK_BOUND)
 def perm_to_str(w: Perm) -> str:
     return ",".join(map(str, w))
 

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from conftest import (
-    cell_point, codim_check, rand_params, rand_rat, random_sl, rank_relative_position,
-    ref_mat_mul, sparse_sl,
+    cell_point, codim_check, leibniz_det, rand_params, rand_rat, random_sl,
+    rank_relative_position, ref_mat_mul, sparse_sl,
 )
 from tnnflag import flag, linalg, richardson, weyl
 from tnnflag.errors import Singular
@@ -76,11 +76,11 @@ class TestBorelFrom:
     def test_det_one(self):
         rng = random.Random(2)
         for _ in range(20):
-            assert linalg.det(borel_from(random_sl(4, rng)).rep) == 1
+            assert leibniz_det(borel_from(random_sl(4, rng)).rep) == 1
 
 
 class TestBorelFromDeterminant:
-    """borel_from reads det(g) from its echelon; linalg.det is the reference."""
+    """borel_from reads det(g) from its echelon; the Leibniz sum is the reference."""
 
     DET_ONE_MESSAGE = "representative must have determinant 1"
     DETS = (Rat(1), Rat(-1), Rat(2), Rat(-1, 3))
@@ -110,7 +110,7 @@ class TestBorelFromDeterminant:
         for n in (2, 3, 4, 5):
             rng = random.Random(40 + n)
             for g in self._inputs(n, rng):
-                d = linalg.det(g)
+                d = leibniz_det(g)
                 seen.add(d)
                 if d != 1:
                     with pytest.raises(Singular) as exc:
@@ -119,7 +119,7 @@ class TestBorelFromDeterminant:
                     continue
                 rep = borel_from(g).rep
                 assert linalg.is_upper_triangular(ref_mat_mul(mat_inv(g), rep))
-                assert linalg.det(rep) == 1
+                assert leibniz_det(rep) == 1
         assert seen == {*self.DETS, Rat(0)}
 
 

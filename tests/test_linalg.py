@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    cell_point, is_upper_unitriangular, rand_rat, random_sl, ref_column_echelon,
-    ref_mat_mul, sparse_sl, transpose,
+    cell_point, is_upper_unitriangular, leibniz_det, rand_rat, random_sl,
+    ref_column_echelon, ref_mat_mul, sparse_sl, transpose,
 )
 from tnnflag import linalg, richardson, weyl
 from tnnflag.errors import (
@@ -115,7 +115,7 @@ class TestRepresentatives:
 
     def test_det_one(self):
         for w in weyl.all_perms(4):
-            assert det(rep_weyl(w)) == 1
+            assert leibniz_det(rep_weyl(w)) == 1
 
 
 class TestWeylMul:
@@ -216,7 +216,7 @@ class TestBruhatFactor:
 
 def _scaled_to_det_one(entries):
     """The matrix with its first column divided by its determinant, or None."""
-    d = det(mat(entries))
+    d = leibniz_det(entries)
     if d == 0:
         return None
     return mat([[x / d if j == 0 else x for j, x in enumerate(row)]
@@ -541,7 +541,7 @@ class TestColumnEchelon:
         assert (c, w) == (c_ref, w_ref)
         assert pivot_product == math.prod(u_ref[j][j] for j in range(len(g)))
         sign = -1 if weyl.length(w) % 2 else 1
-        assert pivot_product == sign * det(g)
+        assert pivot_product == sign * leibniz_det(g)
 
     @pytest.mark.parametrize("family", ["chart_image", "huge", "random_sl", "sparse_sl"])
     @settings(max_examples=40, deadline=None)
@@ -559,7 +559,7 @@ class TestColumnEchelon:
             return
         c_t, w_t, pivot_product_t = linalg.column_echelon(mat_mul(g, t))
         assert (c_t, w_t) == (c, w)
-        assert pivot_product_t == pivot_product * det(t)
+        assert pivot_product_t == pivot_product * leibniz_det(t)
 
     def test_singular_inputs_raise(self):
         for g in (mat([[0]]), mat([[1, 2], [2, 4]]), mat([[0] * 3] * 3)):
@@ -624,3 +624,48 @@ class TestColumnEchelon:
         for g in (identity_mat(2), mat([[1, 2], [3, 7]])):
             with pytest.raises(InternalInconsistency):
                 linalg.column_echelon(g)
+
+
+class TestDet:
+    """det and minor read the column echelon; the Leibniz sum in
+    tests/conftest.py is the independent oracle."""
+
+    @staticmethod
+    def _inputs(n, rng):
+        # dense rationals of any determinant, mostly zero ones, and
+        # singular ones with a dependent column
+        for _ in range(10):
+            yield mat([[rand_rat(rng) for _ in range(n)] for _ in range(n)])
+            yield mat([[rand_rat(rng) if rng.random() < 0.3 else Rat(0)
+                        for _ in range(n)] for _ in range(n)])
+            yield _dependent_column(n, rng)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_leibniz(self, n):
+        rng = random.Random(80 + n)
+        singular = set()
+        for g in self._inputs(n, rng):
+            expected = leibniz_det(g)
+            singular.add(expected == 0)
+            assert det(g) == expected, g
+            assert minor(g, range(1, n + 1), range(1, n + 1)) == expected, g
+        assert singular == {True, False}
+
+    def test_minor_on_every_index_set(self):
+        rng = random.Random(86)
+        g = mat([[rand_rat(rng) for _ in range(4)] for _ in range(4)])
+        for k in range(1, 5):
+            for rows in itertools.combinations(range(1, 5), k):
+                for cols in itertools.combinations(range(1, 5), k):
+                    sub = [[g[i - 1][j - 1] for j in cols] for i in rows]
+                    assert minor(g, rows, cols) == leibniz_det(sub), (rows, cols)
+
+    def test_every_nonsingular_minor_is_proved(self, monkeypatch):
+        def refuse(*state):
+            raise InternalInconsistency("proof refused")
+
+        monkeypatch.setattr(linalg, "_prove_echelon", refuse)
+        g = mat([[2, Rat(1, 3), 5], [Rat(-1, 2), 1, 0], [4, 7, Rat(1, 5)]])
+        for rows, cols in (([1], [2]), ([1, 3], [2, 3]), ([1, 2, 3], [1, 2, 3])):
+            with pytest.raises(InternalInconsistency):
+                minor(g, rows, cols)

@@ -1,9 +1,12 @@
 """Static checks on the package source."""
 
 import ast
+import fractions
 from pathlib import Path
 
 import pytest
+
+from tnnflag import linalg
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tnnflag"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -34,6 +37,17 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return sorted(imported - used)
 
 
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Top-level names of the modules that a module imports."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
 def test_modules_found():
     assert len(MODULES) >= 7
 
@@ -43,19 +57,28 @@ def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
 
 
+def test_no_second_rational_backend():
+    # the benchmark tracer counts Fraction operations only
+    assert [p.name for p in SRC.glob("*.py")
+            if "gmpy2" in imported_modules(ast.parse(p.read_text()))] == []
+
+
+def test_fraction_is_the_rational_type():
+    assert linalg.Rat is fractions.Fraction
+
+
 # every cache below lives as long as the process; a new one fails this test
 # until it is listed here on purpose
 CACHED = {
-    "linalg.rep_weyl",
     "richardson.base_point", "richardson.build_chart",
     "richardson.conjugator_word", "richardson._conjugator", "richardson._shared",
     "weyl._prefix_key", "weyl.bruhat_pairs", "weyl.perm_to_str",
 }
 
 
-# caches with no size bound; both wait on the benchmark worker, which
-# clears them between census passes
-UNBOUNDED = {"richardson.build_chart", "weyl.bruhat_pairs"}
+# caches with no size bound; it waits on the benchmark worker, which clears
+# it between census passes
+UNBOUNDED = {"richardson.build_chart"}
 
 
 def cached_functions(path: Path) -> dict[str, bool]:

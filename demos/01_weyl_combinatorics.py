@@ -29,10 +29,11 @@ def main() -> None:
 
     u = weyl.word_to_perm(n, [2])
     w = weyl.word_to_perm(n, [1, 2])
-    v = weyl.peel(u, w)
+    v, uv, wv = weyl.peel(u, w)
     print(f"\npeel({weyl.perm_to_str(u)}, {weyl.perm_to_str(w)}): "
           f"common suffix v = {weyl.perm_to_str(v)} "
           f"with word {weyl.word_to_str(weyl.reduced_word(v))}")
+    print(f"  transports the pair to ({weyl.perm_to_str(uv)}, {weyl.perm_to_str(wv)})")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,9 @@ eliminates on Python ints by cross-multiplication with content removal,
 and proves its result in integers before it converts c back to
 rationals.  That proof is the reconstruction check of the Bruhat
 factorization as well, and ``det`` reads its pivot product, so every
-nonzero minor carries it.  ``mat_mul`` and ``mat_inv`` stay rational.
+nonzero minor carries it; a singular verdict, and so a zero minor,
+carries a proved integer kernel vector instead.  ``mat_mul`` and
+``mat_inv`` stay rational.
 """
 
 from __future__ import annotations
@@ -104,10 +106,11 @@ def det(a: Mat) -> "Rat":
     """Determinant read from the column echelon: sgn(w) times the pivot
     product, or 0 when the echelon finds a is singular."""
     try:
-        _, w, pivot_product = column_echelon(a)
+        _, pivots, pivot_product = _integer_echelon(a)
     except Singular:
         return ZERO
-    return -pivot_product if weyl.length(w) % 2 else pivot_product
+    # the 0-based pivot rows have the inversions of the pivot permutation w
+    return -pivot_product if weyl.length(pivots) % 2 else pivot_product
 
 
 def mat_inv(a: Mat) -> Mat:
@@ -241,7 +244,24 @@ def column_echelon(g: Mat) -> tuple[Mat, Perm, "Rat"]:
     integers for every column, with T upper triangular with a nonzero
     diagonal, S nonzero and C in echelon shape, so that
     c = g * D * T * diag(1 / (S * pivots)) is a right multiple of g by an
-    invertible upper triangular matrix.
+    invertible upper triangular matrix.  A column that reduces to zero
+    raises Singular only once its T_j is proved a kernel vector of G.
+
+    ``_integer_echelon`` runs the elimination and the proof; this function
+    only rebuilds c as rationals from the proved integer columns.
+    """
+    echelon, pivots, pivot_product = _integer_echelon(g)
+    c = tuple(zip(*(
+        [Rat(x, column[p]) if x else ZERO for x in column]
+        for column, p in zip(echelon, pivots))))
+    return c, tuple(p + 1 for p in pivots), pivot_product
+
+
+def _integer_echelon(g: Mat) -> tuple[list[list[int]], list[int], "Rat"]:
+    """The proved integer columns C_j, their pivot rows (0-based) and the
+    pivot product of ``column_echelon(g)``.
+
+    Raises Singular only with a proved kernel vector (``_prove_singular``).
     """
     n = len(g)
     scales = []
@@ -270,6 +290,7 @@ def column_echelon(g: Mat) -> tuple[Mat, Perm, "Rat"]:
                 sigma *= s_k
         p = next((i for i in range(n - 1, -1, -1) if col[i]), None)
         if p is None:
+            _prove_singular(cols, t, j)
             raise Singular("matrix is singular")
         content = math.gcd(*col)
         if col[p] < 0:
@@ -286,32 +307,42 @@ def column_echelon(g: Mat) -> tuple[Mat, Perm, "Rat"]:
         ss.append(sigma)
         pivots.append(p)
     _prove_echelon(cols, echelon, ts, ss, pivots)
-    heads = [echelon[j][p] for j, p in enumerate(pivots)]
-    c = tuple(zip(*(
-        [Rat(x, head) if x else ZERO for x in column]
-        for column, head in zip(echelon, heads))))
     num = den = 1
-    for j in range(n):
-        num *= heads[j] * ss[j]
+    for j, p in enumerate(pivots):
+        num *= echelon[j][p] * ss[j]
         den *= ts[j][j] * scales[j]
-    return c, tuple(p + 1 for p in pivots), Rat(num, den)
+    return echelon, pivots, Rat(num, den)
 
 
 def _prove_echelon(cols, echelon, ts, ss, pivots) -> None:
     """Check G * T_j == S_j * C_j, T upper triangular with a nonzero
     diagonal, S nonzero, and C in echelon shape, all in integers."""
-    n = len(cols)
     for j, (t, c, p) in enumerate(zip(ts, echelon, pivots)):
         if not t[j] or any(t[j + 1:]) or not ss[j]:
             raise InternalInconsistency("column echelon: T is not triangular")
-        acc = [0] * n
-        for k in range(j + 1):
-            if t[k]:
-                acc = [a + t[k] * x for a, x in zip(acc, cols[k])]
-        if acc != [ss[j] * x for x in c]:
+        if _combination(cols, t, j) != [ss[j] * x for x in c]:
             raise InternalInconsistency("column echelon failed to reconstruct the input")
         if c[p] <= 0 or any(c[p + 1:]) or any(c[q] for q in pivots[:j]):
             raise InternalInconsistency("column echelon is not in echelon shape")
+
+
+def _prove_singular(cols, t, j) -> None:
+    """Check that t is a kernel certificate for column j of G: t[j] != 0,
+    t[k] == 0 for k > j, and G * t == 0, all in integers.  Column j is then
+    a rational combination of the columns before it, so G is singular."""
+    if not t[j] or any(t[j + 1:]):
+        raise InternalInconsistency("column echelon: kernel vector is not triangular")
+    if any(_combination(cols, t, j)):
+        raise InternalInconsistency("column echelon: kernel vector is not in the kernel")
+
+
+def _combination(cols, t, j) -> list[int]:
+    """G * t for a t with no entry below row j: the sum of t[k] * G[:, k]."""
+    acc = [0] * len(cols)
+    for k in range(j + 1):
+        if t[k]:
+            acc = [a + t[k] * x for a, x in zip(acc, cols[k])]
+    return acc
 
 
 def bruhat_factor_plus(g: Mat) -> tuple[Mat, Perm]:

@@ -198,10 +198,26 @@ class Chart:
         return tuple((c.kind, c.index.w, c.index.wp, c.arg) for c in self.links())[::-1]
 
     def shape(self) -> str:
-        """The steps from the outside in, e.g. ``peel(2,1,3) -> extend(s2) -> base``."""
-        parts = [f"peel({weyl.perm_to_str(c.arg)})" if c.kind == "peel"
-                 else f"extend(s{c.arg})" for c in self.links()]
-        return " -> ".join(parts + ["base"])
+        """The steps from the outside in, e.g. ``peel(2,1,3) -> extend(s2) -> base``.
+
+        Each step's text comes from ``_step_label``, so a census formats
+        each distinct step once, not once for every chart that walks it.
+        """
+        parts = []
+        chart = self
+        while chart.inner is not None:
+            parts.append(_step_label(chart.kind, chart.arg))
+            chart = chart.inner
+        parts.append("base")
+        return " -> ".join(parts)
+
+
+# one label per peel by a permutation of rank at most the bound, and one per
+# extend letter s_1 .. s_{bound-1}
+@lru_cache(maxsize=weyl.PERMS_UNDER_RANK_BOUND + weyl.DEFAULT_MAX_RANK - 1)
+def _step_label(kind: str, arg: Perm | int) -> str:
+    """The text of one chart step: ``peel(2,1,3)`` or ``extend(s2)``."""
+    return f"peel({weyl.perm_to_str(arg)})" if kind == "peel" else f"extend(s{arg})"
 
 
 @lru_cache(maxsize=weyl.PERMS_UNDER_RANK_BOUND)
@@ -238,12 +254,11 @@ def build_chart(w: Perm, wp: Perm) -> Chart:
     w, wp = _shared(w), _shared(wp)
     if w == wp:
         return Chart(CellIndex(w, wp), 0, w, None, None, None)
-    v = weyl.peel(w, wp)
+    v, wv, wpv = weyl.peel(w, wp)
     index = CellIndex(w, wp)
-    if v != weyl.identity(len(w)):
-        v = _shared(v)
-        inner = build_chart(_shared(weyl.multiply(w, v)), _shared(weyl.multiply(wp, v)))
-        return Chart(index, inner.dim, inner.base, inner, "peel", v)
+    if wv != w:  # v is not the identity
+        inner = build_chart(_shared(wv), _shared(wpv))
+        return Chart(index, inner.dim, inner.base, inner, "peel", _shared(v))
     i = weyl.find_descent_pair(w, wp)
     inner = build_chart(w, _shared(weyl.right_mult_simple(wp, i)))
     return Chart(index, inner.dim + 1, inner.base, inner, "extend", i)

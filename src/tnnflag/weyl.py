@@ -219,17 +219,20 @@ def bruhat_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
     )
 
 
-def peel(w: Perm, wp: Perm) -> Perm:
-    """The maximal v with l(wv) = l(w)+l(v) and l(w'v) = l(w')+l(v).
+def peel(w: Perm, wp: Perm) -> tuple[Perm, Perm, Perm]:
+    """(v, wv, w'v) for the maximal v with l(wv) = l(w)+l(v) and
+    l(w'v) = l(w')+l(v).
 
     The v that are length-additive with w form a lower interval of the
     right weak order, so those additive with both w and w' form the
-    intersection of two lower intervals, which has a unique maximum (the
-    weak order is a lattice).  Extending by one common ascent at a time
+    intersection of two lower intervals, which has a unique maximum, their
+    meet (the weak order is a lattice; Bjorner-Brenti, Combinatorics of
+    Coxeter Groups, ch. 3).  Extending by one common ascent at a time
     reaches it whatever the order.  The scan goes up the positions and
     steps back one after each swap, the only earlier position a swap at i
-    can turn into a common ascent.  For the returned v, every simple s
-    lengthening wv shortens w'v.
+    can turn into a common ascent.  wv and w'v are the products the scan
+    swaps along with v, so they cost nothing more.  For the returned v,
+    every simple s lengthening wv shortens w'v.
     """
     if not bruhat_leq(w, wp):
         raise NotComparable(f"{w} is not <= {wp} in Bruhat order")
@@ -237,13 +240,16 @@ def peel(w: Perm, wp: Perm) -> Perm:
     v, wv, wpv = list(range(1, n + 1)), list(w), list(wp)
     i = 1
     while i < n:
-        if wv[i - 1] < wv[i] and wpv[i - 1] < wpv[i]:
-            for p in (v, wv, wpv):
-                p[i - 1], p[i] = p[i], p[i - 1]
-            i = max(i - 1, 1)
+        a, b = wv[i - 1], wv[i]
+        if a < b and wpv[i - 1] < wpv[i]:
+            wv[i - 1], wv[i] = b, a
+            wpv[i - 1], wpv[i] = wpv[i], wpv[i - 1]
+            v[i - 1], v[i] = v[i], v[i - 1]
+            if i > 1:
+                i -= 1
         else:
             i += 1
-    return tuple(v)
+    return tuple(v), tuple(wv), tuple(wpv)
 
 
 def find_descent_pair(w: Perm, wp: Perm) -> int:

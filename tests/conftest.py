@@ -162,7 +162,9 @@ def ref_build_chart(w, wp):
         raise NotComparable(f"{w} is not <= {wp} in Bruhat order")
     if w == wp:
         return 0, w, ()
-    v = weyl.peel(w, wp)
+    # only v is read from peel; the inner pair is recomputed with multiply,
+    # independently of the pair peel returns
+    v, _, _ = weyl.peel(w, wp)
     if v != weyl.identity(len(w)):
         dim, base, steps = ref_build_chart(weyl.multiply(w, v), weyl.multiply(wp, v))
         return dim, base, steps + (("peel", w, wp, v),)

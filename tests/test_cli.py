@@ -232,6 +232,14 @@ class TestClassify:
         code, _ = run(capsys, "classify", str(f))
         assert code == 6
 
+    def test_singular_message(self, capsys, tmp_path):
+        # the singular verdict carries a kernel proof; the exit and the
+        # message stay those of a non-det-1 representative
+        f = tmp_path / "m.json"
+        f.write_text('[["1","2"],["2","4"]]')
+        assert run_err(capsys, "classify", str(f)) == (
+            6, "", "representative must have determinant 1\n")
+
     def test_not_in_big_cell(self, capsys, tmp_path):
         # in the open cell of SL_3, but outside the image of its chart
         f = tmp_path / "m.json"

@@ -615,6 +615,34 @@ class TestColumnEchelon:
         with pytest.raises(InternalInconsistency):
             linalg._prove_echelon(cols, echelon, ts, ss, pivots)
 
+    @pytest.mark.parametrize("fault", ["t_diagonal", "t_below", "not_in_kernel"])
+    def test_singular_proof_rejects_a_broken_certificate(self, monkeypatch, fault):
+        # column 1 is twice column 0, so it reduces to zero with a kernel vector
+        g = mat([[1, 2, 0], [Rat(1, 2), 1, 3], [2, 4, Rat(1, 7)]])
+        states = []
+        prove = linalg._prove_singular
+
+        def spy(*state):
+            states.append(state)
+            prove(*state)
+
+        monkeypatch.setattr(linalg, "_prove_singular", spy)
+        with pytest.raises(Singular):
+            linalg.column_echelon(g)
+        monkeypatch.undo()
+        assert len(states) == 1
+        cols, t, j = [list(x) for x in states[0][0]], list(states[0][1]), states[0][2]
+        assert j == 1
+        linalg._prove_singular(cols, t, j)
+        if fault == "t_diagonal":
+            t[j] = 0
+        elif fault == "t_below":
+            t[j + 1] = 1
+        else:
+            t[0] += 1
+        with pytest.raises(InternalInconsistency):
+            linalg._prove_singular(cols, t, j)
+
     def test_faulty_elimination_is_caught(self, monkeypatch):
         # a content that does not divide the column breaks the elimination;
         # the proof, not a later failure, must report it
@@ -659,6 +687,22 @@ class TestDet:
                 for cols in itertools.combinations(range(1, 5), k):
                     sub = [[g[i - 1][j - 1] for j in cols] for i in rows]
                     assert minor(g, rows, cols) == leibniz_det(sub), (rows, cols)
+
+    def test_every_singular_minor_is_proved(self, monkeypatch):
+        def refuse(*state):
+            raise InternalInconsistency("proof refused")
+
+        assert minor(mat([[1, 2], [2, 4]]), [1, 2], [1, 2]) == 0
+        monkeypatch.setattr(linalg, "_prove_singular", refuse)
+        with pytest.raises(InternalInconsistency):
+            minor(mat([[1, 2], [2, 4]]), [1, 2], [1, 2])
+        with pytest.raises(InternalInconsistency):
+            borel_from(mat([[1, 2], [2, 4]]))
+
+    def test_det_runs_no_rational_rebuild(self, monkeypatch):
+        # det stops at the proved pivot product; only column_echelon builds c
+        monkeypatch.setattr(linalg, "column_echelon", None)
+        assert det(mat([[2, Rat(1, 3)], [Rat(-1, 2), 1]])) == Rat(13, 6)
 
     def test_every_nonsingular_minor_is_proved(self, monkeypatch):
         def refuse(*state):

@@ -72,6 +72,7 @@ def test_fraction_is_the_rational_type():
 CACHED = {
     "richardson.base_point", "richardson.build_chart",
     "richardson.conjugator_word", "richardson._conjugator", "richardson._shared",
+    "richardson._step_label",
     "weyl._prefix_key", "weyl.bruhat_pairs", "weyl.perm_to_str",
 }
 

@@ -160,11 +160,11 @@ class TestBruhatPairs:
 
 class TestPeel:
     def test_equal_identity_pair(self):
-        v = weyl.peel(weyl.identity(3), weyl.identity(3))
+        v, _, _ = weyl.peel(weyl.identity(3), weyl.identity(3))
         assert v == weyl.longest_element(3)
 
     def test_identity_w0(self):
-        v = weyl.peel(weyl.identity(3), weyl.longest_element(3))
+        v, _, _ = weyl.peel(weyl.identity(3), weyl.longest_element(3))
         assert v == weyl.identity(3)
 
     def test_not_comparable(self):
@@ -175,7 +175,7 @@ class TestPeel:
         # both length-additivity equations hold and no common ascent remains
         for n in (2, 3, 4):
             for w, wp in weyl.bruhat_pairs(n):
-                v = weyl.peel(w, wp)
+                v, _, _ = weyl.peel(w, wp)
                 wv, wpv = weyl.multiply(w, v), weyl.multiply(wp, v)
                 assert weyl.length(wv) == weyl.length(w) + weyl.length(v)
                 assert weyl.length(wpv) == weyl.length(wp) + weyl.length(v)
@@ -186,7 +186,14 @@ class TestPeel:
     def test_matches_restarting_scan(self):
         for n in (1, 2, 3, 4, 5):
             for w, wp in weyl.bruhat_pairs(n):
-                assert weyl.peel(w, wp) == ref_peel(w, wp), (w, wp)
+                assert weyl.peel(w, wp)[0] == ref_peel(w, wp), (w, wp)
+
+    def test_returns_the_transported_pair(self):
+        for n in (1, 2, 3, 4, 5):
+            for w, wp in weyl.bruhat_pairs(n):
+                v, wv, wpv = weyl.peel(w, wp)
+                assert wv == weyl.multiply(w, v), (w, wp)
+                assert wpv == weyl.multiply(wp, v), (w, wp)
 
     def test_v_is_the_unique_maximum(self):
         # every v additive with both w and w' is a prefix of the peeled v,
@@ -194,7 +201,7 @@ class TestPeel:
         for n in (2, 3, 4):
             perms = weyl.all_perms(n)
             for w, wp in weyl.bruhat_pairs(n):
-                v = weyl.peel(w, wp)
+                v, _, _ = weyl.peel(w, wp)
                 for u in perms:
                     if (weyl.length(weyl.multiply(w, u)) == weyl.length(w) + weyl.length(u)
                             and weyl.length(weyl.multiply(wp, u))

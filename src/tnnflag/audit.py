@@ -110,7 +110,7 @@ def _in_semigroup_cell(u: Mat, w: Perm) -> bool:
 
 def audit_decomposition(n: int, samples: int, seed: int) -> AuditReport:
     """Census plus sampling audit of the cell decomposition."""
-    if n > 4 or n > weyl.max_rank():
+    if n > 4:
         raise RankTooLarge(f"n={n} exceeds the audit rank bound")
     report = AuditReport(n=n, seed=seed)
     w0 = weyl.longest_element(n)

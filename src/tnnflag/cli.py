@@ -45,8 +45,8 @@ EXIT_CODES = (
 
 
 def _check_rank(n: int) -> None:
-    if not 2 <= n <= weyl.max_rank():
-        raise RankTooLarge(f"n must be in 2..{weyl.max_rank()}, got {n}")
+    if not 2 <= n <= weyl.MAX_RANK:
+        raise RankTooLarge(f"n must be in 2..{weyl.MAX_RANK}, got {n}")
 
 
 def _parse_perm(n: int, text: str, fmt: str) -> weyl.Perm:
@@ -127,8 +127,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    # an invalid rank bound is reported before the input is read
-    limit = weyl.max_rank()
     if args.matrix_file == "-":
         raw = sys.stdin.read()
     else:
@@ -141,7 +139,7 @@ def cmd_classify(args) -> int:
     if isinstance(rows, dict):
         rows = rows.get("borel_rep", rows)
     # reject an oversized matrix before converting its entries
-    if isinstance(rows, list) and len(rows) > limit:
+    if isinstance(rows, list) and len(rows) > weyl.MAX_RANK:
         _check_rank(len(rows))
     g = linalg.mat_from_json(rows)
     _check_rank(len(g))

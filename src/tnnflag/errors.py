@@ -19,7 +19,7 @@ class RankMismatch(TnnError):
 
 
 class RankTooLarge(TnnError):
-    """Requested rank exceeds the configured bound, or the bound is not an integer."""
+    """Requested rank is outside the fixed bound ``weyl.MAX_RANK``."""
 
 
 class NotComparable(TnnError):

@@ -167,6 +167,14 @@ def gen_x(n: int, i: int, a) -> Mat:
     return tuple(tuple(row) for row in rows)
 
 
+def mul_x(m: Mat, i: int, a) -> Mat:
+    """m * x_i(a) with no product: m with a times column i added to column i+1."""
+    _check_index(len(m), i)
+    return tuple(
+        row[:i] + (row[i] + a * row[i - 1] if row[i - 1] else row[i],) + row[i + 1:]
+        for row in m)
+
+
 def gen_y(n: int, i: int, a) -> Mat:
     """y_i(a): identity plus a in entry (i+1, i); the transpose of x_i(a)."""
     _check_index(n, i)
@@ -352,13 +360,15 @@ def bruhat_factor_plus(g: Mat) -> tuple[Mat, Perm]:
     each column of c on the diagonal, so b1 is the unique left factor in
     U_w = U^+ ∩ rep(w) U^- rep(w)^{-1}, and b2 = s * u, upper triangular,
     for the signs s with rep_weyl(w) = P_w * s.  ``column_echelon`` proves
-    g = c * u in integers; the triangularity of b1 is verified here.
+    g = c * u in integers; the triangularity of b1 is verified here, and
+    its failure is an InternalInconsistency, never a verdict.
     """
     c, w, _ = column_echelon(g)
     columns = [k - 1 for k in weyl.inverse(w)]
     b1 = tuple(tuple(row[k] for k in columns) for row in c)
     if not is_upper_triangular(b1):
-        raise Singular("Bruhat factorization produced a non-triangular factor")
+        raise InternalInconsistency(
+            "Bruhat factorization produced a non-triangular factor")
     return b1, w
 
 

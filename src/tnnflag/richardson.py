@@ -38,7 +38,7 @@ from .errors import (
 )
 from .flag import BorelPt, CellIndex, borel_from, stratum
 from .linalg import (
-    Mat, Rat, bruhat_factor_plus, gen_x, mat_mul, rep_weyl, weyl_mul, y_product,
+    Mat, Rat, bruhat_factor_plus, mat_mul, mul_x, rep_weyl, weyl_mul, y_product,
 )
 from .weyl import Perm, Word
 
@@ -47,18 +47,25 @@ from .weyl import Perm, Word
 # The elementary maps
 
 
+def _additive_product(w: Perm, v: Perm) -> Perm:
+    """w v, checked to satisfy l(wv) = l(w) + l(v)."""
+    wv = weyl.multiply(w, v)
+    if weyl.length(wv) != weyl.length(w) + weyl.length(v):
+        raise LengthNotAdditive(f"l({w} * {v}) != l + l")
+    return wv
+
+
 def phi_down(w: Perm, v: Perm, b: BorelPt) -> BorelPt:
     """The unique P with B^- --w--> P --v--> b, for b at position wv from B^-.
 
     rep_weyl(w0) stands in for its inverse (-1)^(n-1) * rep_weyl(w0): the
     scalar changes neither b1 nor u.
     """
-    if weyl.length(weyl.multiply(w, v)) != weyl.length(w) + weyl.length(v):
-        raise LengthNotAdditive(f"l({w} * {v}) != l + l")
+    wv = _additive_product(w, v)
     w0 = weyl.longest_element(len(w))
     b1, u = bruhat_factor_plus(weyl_mul(w0, b.rep))
-    if u != weyl.multiply(w, v):
-        raise WrongCell(f"point is at position {u} from B^-, expected {weyl.multiply(w, v)}")
+    if u != wv:
+        raise WrongCell(f"point is at position {u} from B^-, expected {wv}")
     return borel_from(weyl_mul(w0, weyl_mul(w, b1, right=True)))
 
 
@@ -68,8 +75,7 @@ def phi_up(w: Perm, v: Perm, b: BorelPt) -> BorelPt:
     P is the right translate b * v: rep = b1 * rep_weyl(w0 w) * d with b1 in
     U^+ and d diagonal, so rep * rep_weyl(v) lies in b1 * rep_weyl(w0 w v) * B^+.
     """
-    if weyl.length(weyl.multiply(w, v)) != weyl.length(w) + weyl.length(v):
-        raise LengthNotAdditive(f"l({w} * {v}) != l + l")
+    _additive_product(w, v)
     expected = weyl.multiply(weyl.longest_element(len(w)), w)
     if b.position != expected:
         raise WrongCell(f"point is at position {b.position} from B^+, expected {expected}")
@@ -116,8 +122,8 @@ def _psi_with(y: Mat, y_inv: Mat, s_index: int, b: BorelPt, a) -> BorelPt:
     # canonical form
     x = linalg.opposite_big_cell_factor(mat_mul(y, b.rep))
     ip = n - s_index  # w0 s_i w0 = s_{n-i}
-    x_a = weyl_mul(weyl.longest_element(n), gen_x(n, ip, a), right=True)
-    return borel_from(mat_mul(y_inv, mat_mul(x, x_a)))
+    x_a = mul_x(x, ip, a)  # x * x_{i'}(a)
+    return borel_from(mat_mul(y_inv, weyl_mul(weyl.longest_element(n), x_a, right=True)))
 
 
 def psi(w: Perm, wp: Perm, s_index: int, b: BorelPt, a) -> BorelPt:
@@ -138,15 +144,10 @@ def _psi_inv_with(
     x_full = linalg.opposite_big_cell_factor(mat_mul(y, b.rep))
     x_partial = linalg.opposite_big_cell_factor(mat_mul(y, p.rep))
     # x_partial is unitriangular, so x_full = x_partial * x_{i'}(a) forces
-    # a to be the difference of their (i', i'+1) entries.  That product is
-    # x_partial with a times column i' added to column i'+1, so the check
-    # compares x_full with it column by column, without forming it.
+    # a to be the difference of their (i', i'+1) entries
     ip = n - s_index
     a = x_full[ip - 1][ip] - x_partial[ip - 1][ip]
-    if a == 0 or any(
-            full[:ip] != part[:ip] or full[ip + 1:] != part[ip + 1:]
-            or full[ip] != (part[ip] + a * part[ip - 1] if part[ip - 1] else part[ip])
-            for full, part in zip(x_full, x_partial)):
+    if a == 0 or x_full != mul_x(x_partial, ip, a):
         raise NotInChartImage("residual is not a single x_{i'}(a) with a != 0")
     return p, a
 
@@ -214,7 +215,7 @@ class Chart:
 
 # one label per peel by a permutation of rank at most the bound, and one per
 # extend letter s_1 .. s_{bound-1}
-@lru_cache(maxsize=weyl.PERMS_UNDER_RANK_BOUND + weyl.DEFAULT_MAX_RANK - 1)
+@lru_cache(maxsize=weyl.PERMS_UNDER_RANK_BOUND + weyl.MAX_RANK - 1)
 def _step_label(kind: str, arg: Perm | int) -> str:
     """The text of one chart step: ``peel(2,1,3)`` or ``extend(s2)``."""
     return f"peel({weyl.perm_to_str(arg)})" if kind == "peel" else f"extend(s{arg})"

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import os
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -23,22 +22,11 @@ from .errors import NoDescentPair, NotComparable, RankMismatch, RankTooLarge
 Perm = tuple[int, ...]
 Word = tuple[int, ...]
 
-DEFAULT_MAX_RANK = 6
+MAX_RANK = 6
 
 # 1! + 2! + ... + 6! = 873: the permutations of every rank up to the
-# default bound, so the size of a cache keyed by one permutation
-PERMS_UNDER_RANK_BOUND = sum(math.factorial(n) for n in range(1, DEFAULT_MAX_RANK + 1))
-
-
-def max_rank() -> int:
-    """Rank bound; overridable through the RTNN_MAX_RANK environment variable."""
-    raw = os.environ.get("RTNN_MAX_RANK")
-    if raw is None:
-        return DEFAULT_MAX_RANK
-    try:
-        return int(raw)
-    except ValueError:
-        raise RankTooLarge(f"RTNN_MAX_RANK must be an integer, got {raw!r}") from None
+# bound, so the size of a cache keyed by one permutation
+PERMS_UNDER_RANK_BOUND = sum(math.factorial(n) for n in range(1, MAX_RANK + 1))
 
 
 def validate_perm(images: Sequence[int]) -> Perm:
@@ -191,7 +179,7 @@ def _upper_covers(u: Perm) -> Iterator[Perm]:
                 yield tuple(v)
 
 
-@lru_cache(maxsize=DEFAULT_MAX_RANK)
+@lru_cache(maxsize=MAX_RANK)
 def bruhat_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
     """All pairs (w, w') with w <= w', ordered by w, then by w', each in
     the order of ``all_perms``.
@@ -201,8 +189,8 @@ def bruhat_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
     builds every interval as a bitset over ``all_perms`` without testing
     all (n!)^2 pairs.
     """
-    if n > max_rank():
-        raise RankTooLarge(f"n={n} exceeds the rank bound {max_rank()}")
+    if n > MAX_RANK:
+        raise RankTooLarge(f"n={n} exceeds the rank bound {MAX_RANK}")
     perms = all_perms(n)
     position = {w: k for k, w in enumerate(perms)}
     upper = [0] * len(perms)

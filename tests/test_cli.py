@@ -2,7 +2,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 import time
 
@@ -79,13 +78,6 @@ class TestCells:
         code, out = run(capsys, "cells", "--n", str(n))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    def test_non_integer_rank_bound(self, capsys, monkeypatch):
-        monkeypatch.setenv("RTNN_MAX_RANK", "abc")
-        code, out, err = run_err(capsys, "cells", "--n", "3")
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and "RTNN_MAX_RANK" in err
 
 
 class TestEval:
@@ -279,12 +271,6 @@ class TestClassify:
         assert code == 5
         assert out == "" and err == "matrix must be square\n"
 
-    def test_rank_bound_read_before_input(self):
-        code, out, err = run_io(["classify", "-"], "5", max_rank="abc")
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and "RTNN_MAX_RANK" in err
-
     def test_too_many_rows_is_a_rank_error(self, capsys, tmp_path):
         f = tmp_path / "m.json"
         f.write_text(json.dumps([["x"]] * 7))
@@ -346,21 +332,16 @@ class TestUsageErrors:
         assert "--n" in capsys.readouterr().out
 
 
-def run_io(argv, stdin="", max_rank=None):
-    """main(argv) with stdin, stdout, stderr and RTNN_MAX_RANK in memory."""
-    saved_stdin, saved_rank = sys.stdin, os.environ.pop("RTNN_MAX_RANK", None)
+def run_io(argv, stdin=""):
+    """main(argv) with stdin, stdout and stderr in memory."""
+    saved_stdin = sys.stdin
     out, err = io.StringIO(), io.StringIO()
     try:
         sys.stdin = io.StringIO(stdin)
-        if max_rank is not None:
-            os.environ["RTNN_MAX_RANK"] = max_rank
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     finally:
         sys.stdin = saved_stdin
-        os.environ.pop("RTNN_MAX_RANK", None)
-        if saved_rank is not None:
-            os.environ["RTNN_MAX_RANK"] = saved_rank
     return code, out.getvalue(), err.getvalue()
 
 
@@ -375,18 +356,6 @@ def assert_contract(code, out, err):
         assert err.endswith("\n") and len(err.splitlines()) == 1, err
 
 
-def _is_large_int(text):
-    try:
-        return int(text) > 6
-    except ValueError:
-        return False
-
-
-ENV_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
-                                 blacklist_characters="\x00"), max_size=4)
-# never a rank above 6, so no example runs a large census
-MAX_RANK = st.one_of(st.none(), st.just("6"), st.integers(-2, 6).map(str),
-                     ENV_TEXT.filter(lambda t: not _is_large_int(t)))
 RATIONAL = st.one_of(
     st.integers(-9, 9).map(str),
     st.tuples(st.integers(-9, 9), st.integers(-2, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
@@ -457,20 +426,19 @@ class TestContract:
     """Every input ends in JSON and exit 0, or a documented code and one line."""
 
     @CONTRACT
-    @given(argv=eval_argv(), max_rank=MAX_RANK)
-    def test_eval(self, argv, max_rank):
-        assert_contract(*run_io(argv, max_rank=max_rank))
+    @given(argv=eval_argv())
+    def test_eval(self, argv):
+        assert_contract(*run_io(argv))
 
     @CONTRACT
-    @given(stdin=matrix_text(), max_rank=MAX_RANK)
-    def test_classify(self, stdin, max_rank):
-        assert_contract(*run_io(["classify", "-"], stdin, max_rank))
+    @given(stdin=matrix_text())
+    def test_classify(self, stdin):
+        assert_contract(*run_io(["classify", "-"], stdin))
 
     @CONTRACT
-    @given(n=st.one_of(st.integers(-1, 4).map(str), st.text(max_size=3)),
-           max_rank=MAX_RANK)
-    def test_cells(self, n, max_rank):
-        assert_contract(*run_io(["cells", "--n", n], max_rank=max_rank))
+    @given(n=st.one_of(st.integers(-1, 4).map(str), st.text(max_size=3)))
+    def test_cells(self, n):
+        assert_contract(*run_io(["cells", "--n", n]))
 
 
 class TestOutputIsJson:
@@ -511,6 +479,28 @@ class TestInternalError:
         code, out, _ = run_err(capsys, "cells", "--n", "3", "--output", str(path))
         assert code == 7 and out == ""
         assert not path.exists()
+
+    def test_failed_factor_check_exits_7(self, capsys, monkeypatch):
+        # an echelon with a 1 below a pivot breaks the triangular left factor
+        # of the Bruhat factorization: an internal error, never a verdict
+        b = richardson.eval_chart(richardson.build_chart((1, 2, 3), (3, 2, 1)), [1, 2, 3])
+        real = linalg.column_echelon
+
+        def below_pivot(g):
+            c, w, pivot_product = real(g)
+            j = next(j for j, p in enumerate(w) if p < len(g))
+            rows = [list(row) for row in c]
+            rows[w[j]][j] += 1
+            return tuple(map(tuple, rows)), w, pivot_product
+
+        monkeypatch.setattr(linalg, "column_echelon", below_pivot)
+        with pytest.raises(InternalInconsistency):
+            linalg.bruhat_factor_plus(b.rep)
+        with pytest.raises(InternalInconsistency):
+            richardson.classify(b)
+        code, out, err = run_io(["classify", "-"], json.dumps(linalg.mat_to_json(b.rep)))
+        assert code == 7
+        assert out == "" and len(err.splitlines()) == 1 and err.endswith("\n")
 
 
 def eval_classify_transcript(n):

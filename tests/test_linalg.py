@@ -18,8 +18,8 @@ from tnnflag.errors import (
 from tnnflag.flag import act, borel_from
 from tnnflag.linalg import (
     Rat, bruhat_factor_plus, det, gen_x, gen_y, identity_mat, mat, mat_inv,
-    mat_mul, minor, opposite_big_cell_factor, rep_simple, rep_weyl, weyl_mul,
-    y_product,
+    mat_mul, minor, mul_x, opposite_big_cell_factor, rep_simple, rep_weyl,
+    weyl_mul, y_product,
 )
 
 
@@ -56,6 +56,8 @@ class TestGenerators:
             gen_x(3, 3, 1)
         with pytest.raises(IndexOutOfRange):
             gen_y(3, 0, 1)
+        with pytest.raises(IndexOutOfRange):
+            mul_x(identity_mat(3), 3, 1)
 
 
 class TestRepresentatives:
@@ -455,6 +457,18 @@ class TestMatMul:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             mat_mul(identity_mat(2), identity_mat(3))
+
+
+class TestMulX:
+    @pytest.mark.parametrize("family", ["mostly_zero", "dense"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_product_with_gen_x(self, family, data):
+        n = data.draw(st.integers(2, 5))
+        m = data.draw(_FAMILIES[family](n))
+        a = data.draw(_small | _large)
+        for i in range(1, n):
+            assert mul_x(m, i, a) == mat_mul(m, gen_x(n, i, a))
 
 
 # Inputs for the echelon oracle, n in 1..6.  The seeded families draw n and

@@ -116,3 +116,31 @@ def test_caches_are_allowlisted():
 
 def test_only_the_allowlisted_caches_are_unbounded():
     assert {name for name, unbounded in _all_caches().items() if unbounded} == UNBOUNDED
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(tree: ast.Module) -> list[str]:
+    """``os.environ``, ``os.getenv`` and the like, read or imported by name."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append(f"os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"os.{a.name}" for a in node.names if a.name in ENVIRONMENT_READS]
+    return found
+
+
+def test_environment_reads_are_found():
+    assert environment_reads(ast.parse(
+        "import os\nos.environ.get('X')\nos.getenv('Y')\nfrom os import environ"
+    )) == ["os.environ", "os.getenv", "os.environ"]
+
+
+# every setting is a constant or a command-line option: an environment
+# variable would be a knob that no test or cache bound sees
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    assert environment_reads(ast.parse(path.read_text())) == []

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from . import flag, linalg, richardson, weyl
 from .errors import NotTNN, RankTooLarge
 from .flag import borel_from
-from .linalg import Mat, Rat, column_echelon, mat_mul, y_product
+from .linalg import Mat, Rat, bruhat_cell, mat_mul, y_product
 from .weyl import Perm
 
 
@@ -97,7 +97,7 @@ def semigroup_cell_of(u: Mat) -> Perm:
         raise NotTNN("matrix is not lower unitriangular")
     if not is_tnn_lower(u):
         raise NotTNN("negative minor found")
-    return column_echelon(u)[1]
+    return bruhat_cell(u)
 
 
 def _in_semigroup_cell(u: Mat, w: Perm) -> bool:

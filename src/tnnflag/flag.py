@@ -12,8 +12,9 @@ the flag's position from B^+, kept on the point so that no later step
 factors the representative again.
 
 The relative position of two flags is the Bruhat cell B^+ w B^+ of
-rep1^{-1} * rep2, the pivot permutation of its column echelon; the stratum
-of a flag is its pair of relative positions from B^+ and from B^-.
+rep1^{-1} * rep2, read by ``linalg.bruhat_cell`` from the pivots of its
+column echelon without rebuilding c; the stratum of a flag is its pair
+of relative positions from B^+ and from B^-.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def act(g: Mat, b: BorelPt) -> BorelPt:
 
 def relative_position(b1: BorelPt, b2: BorelPt) -> Perm:
     """The unique w with b1 --w--> b2: rep1^{-1} * rep2 lies in B^+ w B^+."""
-    return column_echelon(mat_mul(mat_inv(b1.rep), b2.rep))[1]
+    return linalg.bruhat_cell(mat_mul(mat_inv(b1.rep), b2.rep))
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,6 +113,6 @@ def stratum(b: BorelPt) -> CellIndex:
     """
     w0 = weyl.longest_element(b.n)
     w = weyl.multiply(w0, b.position)
-    wp = column_echelon(weyl_mul(w0, b.rep))[1]
+    wp = linalg.bruhat_cell(weyl_mul(w0, b.rep))
     return CellIndex(w, wp)
 

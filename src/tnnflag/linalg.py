@@ -3,26 +3,26 @@
 Matrices are immutable tuples of tuples of exact rationals, with
 ``fractions.Fraction`` as the one rational type ``Rat``.
 
-Chevalley generators x_i(a), y_i(a) and the pinned Weyl representatives
-live here, together with the one elimination everything geometric
-reduces to: the column echelon g = c * u.  It gives the canonical
-representative of the coset g * B^+ and the Bruhat factorization
-g = b1 * rep(w) * b2 with b1 in U_w and b2 upper triangular.  The unique
-upper-unitriangular witness of a Borel opposite to B^- is its b1 when
-w = w0.  The representative of w is a signed permutation matrix in closed
-form, built with no reduced word and no elimination.  No inverse
+Chevalley generators and pinned Weyl representatives act with no
+product: ``mul_x`` is m * x_i(a), one column update, ``y_mul`` is a word
+in the y_i(a) times m, one row update per letter, and ``weyl_mul`` moves
+and negates rows or columns.  The generator matrices are these applied to
+the identity; ``mat_mul`` is left for general products.  No inverse
 representative is kept: rep(w)^{-1} is the transpose of rep(w), and
-rep(w0)^{-1} = (-1)^(n-1) * rep(w0), so rep(w0)^{-1} * g and rep(w0) * g
-span the same flag.
+rep(w0)^{-1} = (-1)^(n-1) * rep(w0) spans the same flags as rep(w0).
 
-The echelon is fraction-free: it clears denominators column by column,
-eliminates on Python ints by cross-multiplication with content removal,
-and proves its result in integers before it converts c back to
+Everything geometric reduces to one elimination, the column echelon
+g = c * u: the canonical representative c of the coset g * B^+, and the
+Bruhat factorization g = b1 * rep(w) * b2 with b1 in U_w and b2 upper
+triangular, whose b1 is the unitriangular witness of a Borel opposite to
+B^- when w = w0.  It is fraction-free: it clears denominators column by
+column, eliminates on Python ints by cross-multiplication with content
+removal, and proves its result in integers before it converts c back to
 rationals.  That proof is the reconstruction check of the Bruhat
-factorization as well, and ``det`` reads its pivot product, so every
-nonzero minor carries it; a singular verdict, and so a zero minor,
-carries a proved integer kernel vector instead.  ``mat_mul`` and
-``mat_inv`` stay rational.
+factorization as well.  ``det`` reads its pivot product and
+``bruhat_cell`` its pivots without rebuilding c, so every nonzero minor
+and every Bruhat cell carries the proof; a singular verdict, and so a
+zero minor, carries a proved integer kernel vector instead.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def rat_to_str(r) -> str:
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:
-    m = tuple(tuple(Rat(x) for x in row) for row in rows)
+    m = tuple(tuple(rat(x) for x in row) for row in rows)
     if any(len(row) != len(m) for row in m):
         raise ShapeMismatch("matrix must be square")
     return m
@@ -106,11 +106,10 @@ def det(a: Mat) -> "Rat":
     """Determinant read from the column echelon: sgn(w) times the pivot
     product, or 0 when the echelon finds a is singular."""
     try:
-        _, pivots, pivot_product = _integer_echelon(a)
+        _, w, pivot_product = _integer_echelon(a)
     except Singular:
         return ZERO
-    # the 0-based pivot rows have the inversions of the pivot permutation w
-    return -pivot_product if weyl.length(pivots) % 2 else pivot_product
+    return -pivot_product if weyl.length(w) % 2 else pivot_product
 
 
 def mat_inv(a: Mat) -> Mat:
@@ -161,10 +160,7 @@ def _check_index(n: int, i: int) -> None:
 
 def gen_x(n: int, i: int, a) -> Mat:
     """x_i(a): identity plus a in entry (i, i+1)."""
-    _check_index(n, i)
-    rows = [list(row) for row in identity_mat(n)]
-    rows[i - 1][i] = Rat(a)
-    return tuple(tuple(row) for row in rows)
+    return mul_x(identity_mat(n), i, rat(a))
 
 
 def mul_x(m: Mat, i: int, a) -> Mat:
@@ -177,10 +173,20 @@ def mul_x(m: Mat, i: int, a) -> Mat:
 
 def gen_y(n: int, i: int, a) -> Mat:
     """y_i(a): identity plus a in entry (i+1, i); the transpose of x_i(a)."""
-    _check_index(n, i)
-    rows = [list(row) for row in identity_mat(n)]
-    rows[i][i - 1] = Rat(a)
-    return tuple(tuple(row) for row in rows)
+    return y_mul((i,), (rat(a),), identity_mat(n))
+
+
+def y_mul(letters: Sequence[int], params: Sequence, m: Mat) -> Mat:
+    """y_{letters[0]}(params[0]) * ... * y_{letters[-1]}(params[-1]) * m with
+    no product: the letters act from the right end of the word, and
+    y_i(a) adds a times row i to row i+1."""
+    if len(letters) != len(params):
+        raise ShapeMismatch("letters and parameters differ in count")
+    rows = list(m)
+    for i, a in zip(reversed(letters), reversed(params)):
+        _check_index(len(rows), i)
+        rows[i] = tuple(y + a * x if x else y for x, y in zip(rows[i - 1], rows[i]))
+    return tuple(rows)
 
 
 def rep_simple(n: int, i: int) -> Mat:
@@ -223,12 +229,7 @@ def rep_weyl(w: Perm) -> Mat:
 
 def y_product(n: int, letters: Sequence[int], params: Sequence) -> Mat:
     """y_{letters[0]}(params[0]) * ... * y_{letters[-1]}(params[-1])."""
-    if len(letters) != len(params):
-        raise ShapeMismatch("letters and parameters differ in count")
-    rows = identity_mat(n)
-    for i, a in zip(letters, params):
-        rows = mat_mul(rows, gen_y(n, i, a))
-    return rows
+    return y_mul(letters, [rat(a) for a in params], identity_mat(n))
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +259,22 @@ def column_echelon(g: Mat) -> tuple[Mat, Perm, "Rat"]:
     ``_integer_echelon`` runs the elimination and the proof; this function
     only rebuilds c as rationals from the proved integer columns.
     """
-    echelon, pivots, pivot_product = _integer_echelon(g)
+    echelon, w, pivot_product = _integer_echelon(g)
     c = tuple(zip(*(
-        [Rat(x, column[p]) if x else ZERO for x in column]
-        for column, p in zip(echelon, pivots))))
-    return c, tuple(p + 1 for p in pivots), pivot_product
+        [Rat(x, column[p - 1]) if x else ZERO for x in column]
+        for column, p in zip(echelon, w))))
+    return c, w, pivot_product
 
 
-def _integer_echelon(g: Mat) -> tuple[list[list[int]], list[int], "Rat"]:
-    """The proved integer columns C_j, their pivot rows (0-based) and the
-    pivot product of ``column_echelon(g)``.
+def bruhat_cell(g: Mat) -> Perm:
+    """The w with g in B^+ w B^+: the w of ``column_echelon(g)``, read from
+    the proved integer echelon without rebuilding c.  Raises Singular."""
+    return _integer_echelon(g)[1]
+
+
+def _integer_echelon(g: Mat) -> tuple[list[list[int]], Perm, "Rat"]:
+    """The proved integer columns C_j, their pivot rows (1-based, the
+    permutation w) and the pivot product of ``column_echelon(g)``.
 
     Raises Singular only with a proved kernel vector (``_prove_singular``).
     """
@@ -319,7 +326,7 @@ def _integer_echelon(g: Mat) -> tuple[list[list[int]], list[int], "Rat"]:
     for j, p in enumerate(pivots):
         num *= echelon[j][p] * ss[j]
         den *= ts[j][j] * scales[j]
-    return echelon, pivots, Rat(num, den)
+    return echelon, tuple(p + 1 for p in pivots), Rat(num, den)
 
 
 def _prove_echelon(cols, echelon, ts, ss, pivots) -> None:
@@ -402,4 +409,4 @@ def mat_from_json(rows: list[list[str]]) -> Mat:
     # checked before any entry is converted, whatever the length of a row
     if any(len(row) != len(rows) for row in rows):
         raise ShapeMismatch("matrix must be square")
-    return mat(tuple(tuple(rat(x) for x in row) for row in rows))
+    return mat(rows)

@@ -37,9 +37,7 @@ from .errors import (
     TnnError, WrongCell, WrongStratum, ZeroParameter,
 )
 from .flag import BorelPt, CellIndex, borel_from, stratum
-from .linalg import (
-    Mat, Rat, bruhat_factor_plus, mat_mul, mul_x, rep_weyl, weyl_mul, y_product,
-)
+from .linalg import ONE, Rat, bruhat_factor_plus, mul_x, rep_weyl, weyl_mul, y_mul
 from .weyl import Perm, Word
 
 
@@ -98,7 +96,8 @@ def pi(w: Perm, wp: Perm, s_index: int, b: BorelPt) -> BorelPt:
 
 @lru_cache(maxsize=weyl.PERMS_UNDER_RANK_BOUND)
 def conjugator_word(w: Perm) -> Word:
-    """Reduced word of w0 w^{-1} w0, used to build the conjugating y-element.
+    """Reduced word i_1 ... i_k of w0 w^{-1} w0, for the conjugator
+    y = y_{i_1}(1)...y_{i_k}(1) of psi, with inverse y_{i_k}(-1)...y_{i_1}(-1).
 
     psi gives the same point for the conjugator of every reduced word.
     """
@@ -106,24 +105,17 @@ def conjugator_word(w: Perm) -> Word:
     return weyl.reduced_word(weyl.multiply(weyl.multiply(w0, weyl.inverse(w)), w0))
 
 
-@lru_cache(maxsize=weyl.PERMS_UNDER_RANK_BOUND)
-def _conjugator(n: int, y_word: Word) -> tuple[Mat, Mat]:
-    """y = y_{i_1}(1)...y_{i_k}(1) and its inverse y_{i_k}(-1)...y_{i_1}(-1)."""
-    k = len(y_word)
-    y = y_product(n, y_word, [Rat(1)] * k)
-    return y, y_product(n, y_word[::-1], [Rat(-1)] * k)
-
-
-def _psi_with(y: Mat, y_inv: Mat, s_index: int, b: BorelPt, a) -> BorelPt:
+def _psi_with(y_word: Word, s_index: int, b: BorelPt, a) -> BorelPt:
     n = b.n
     if a == 0:
         raise ZeroParameter("chart parameters must be nonzero")
     # the big-cell witness depends only on the coset, so y * rep needs no
     # canonical form
-    x = linalg.opposite_big_cell_factor(mat_mul(y, b.rep))
+    x = linalg.opposite_big_cell_factor(y_mul(y_word, (ONE,) * len(y_word), b.rep))
     ip = n - s_index  # w0 s_i w0 = s_{n-i}
     x_a = mul_x(x, ip, a)  # x * x_{i'}(a)
-    return borel_from(mat_mul(y_inv, weyl_mul(weyl.longest_element(n), x_a, right=True)))
+    return borel_from(y_mul(y_word[::-1], (-ONE,) * len(y_word),
+                            weyl_mul(weyl.longest_element(n), x_a, right=True)))
 
 
 def psi(w: Perm, wp: Perm, s_index: int, b: BorelPt, a) -> BorelPt:
@@ -132,17 +124,17 @@ def psi(w: Perm, wp: Perm, s_index: int, b: BorelPt, a) -> BorelPt:
     Conjugates b into R_{1,w's} by a fixed positive y, appends x_{i'}(a) to
     its big-cell witness, and conjugates back.  Satisfies pi(psi(b, a)) = b.
     """
-    y, y_inv = _conjugator(len(w), conjugator_word(w))
-    return _psi_with(y, y_inv, s_index, b, a)
+    return _psi_with(conjugator_word(w), s_index, b, a)
 
 
 def _psi_inv_with(
-    y: Mat, w: Perm, wp: Perm, s_index: int, b: BorelPt
+    y_word: Word, w: Perm, wp: Perm, s_index: int, b: BorelPt
 ) -> tuple[BorelPt, "Rat"]:
     n = b.n
     p = pi(w, wp, s_index, b)
-    x_full = linalg.opposite_big_cell_factor(mat_mul(y, b.rep))
-    x_partial = linalg.opposite_big_cell_factor(mat_mul(y, p.rep))
+    ones = (ONE,) * len(y_word)
+    x_full = linalg.opposite_big_cell_factor(y_mul(y_word, ones, b.rep))
+    x_partial = linalg.opposite_big_cell_factor(y_mul(y_word, ones, p.rep))
     # x_partial is unitriangular, so x_full = x_partial * x_{i'}(a) forces
     # a to be the difference of their (i', i'+1) entries
     ip = n - s_index
@@ -154,8 +146,7 @@ def _psi_inv_with(
 
 def psi_inv(w: Perm, wp: Perm, s_index: int, b: BorelPt) -> tuple[BorelPt, "Rat"]:
     """Inverse of psi on its image: (pi(b), recovered parameter)."""
-    y, _ = _conjugator(len(w), conjugator_word(w))
-    return _psi_inv_with(y, w, wp, s_index, b)
+    return _psi_inv_with(conjugator_word(w), w, wp, s_index, b)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +260,7 @@ def eval_chart(chart: Chart, params: Sequence) -> BorelPt:
     """Evaluate the chart on nonzero rational parameters (innermost first)."""
     if len(params) != chart.dim:
         raise ParamCountMismatch(f"expected {chart.dim} parameters, got {len(params)}")
-    params = [Rat(p) for p in params]
+    params = [linalg.rat(p) for p in params]
     if any(p == 0 for p in params):
         raise ZeroParameter("chart parameters must be nonzero")
     return _eval(chart, params)

@@ -239,6 +239,18 @@ def x_product(n, letters, params):
     return rows
 
 
+def ref_y_mul(letters, params, m):
+    """linalg.y_mul as a product: y_{letters[0]}(params[0]) * ... * m, each
+    y_i(a) built entry by entry and multiplied in with mat_mul."""
+    n = len(m)
+    y = identity_mat(n)
+    for i, a in zip(letters, params):
+        gen = [list(row) for row in identity_mat(n)]
+        gen[i][i - 1] = Rat(a)
+        y = mat_mul(y, tuple(map(tuple, gen)))
+    return mat_mul(y, m)
+
+
 def key_chart_upper(wp):
     """Reduced word of w0 w' w0 and params -> x-product * B^-, covering R_{1,w'}."""
     n = len(wp)

@@ -263,8 +263,7 @@ def test_criterion_10_determinism():
                     words = list(weyl.all_reduced_words(target))
                     points = set()
                     for word in words:
-                        y, y_inv = richardson._conjugator(n, word)
-                        points.add(richardson._psi_with(y, y_inv, i, b, a))
+                        points.add(richardson._psi_with(word, i, b, a))
                     assert points == {psi(w, wp, i, b, a)}
                     multi_word += len(words) > 1
         assert multi_word >= 40

@@ -9,17 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     cell_point, is_upper_unitriangular, leibniz_det, rand_rat, random_sl,
-    ref_column_echelon, ref_mat_mul, sparse_sl, transpose,
+    ref_column_echelon, ref_mat_mul, ref_stratum, ref_y_mul, sparse_sl, transpose,
 )
-from tnnflag import linalg, richardson, weyl
+from tnnflag import flag, linalg, richardson, weyl
 from tnnflag.errors import (
     IndexOutOfRange, InternalInconsistency, NotInBigCell, ShapeMismatch, Singular,
 )
-from tnnflag.flag import act, borel_from
+from tnnflag.flag import act, b_plus, borel_from, relative_position, stratum
 from tnnflag.linalg import (
-    Rat, bruhat_factor_plus, det, gen_x, gen_y, identity_mat, mat, mat_inv,
-    mat_mul, minor, mul_x, opposite_big_cell_factor, rep_simple, rep_weyl,
-    weyl_mul, y_product,
+    Rat, bruhat_cell, bruhat_factor_plus, det, gen_x, gen_y, identity_mat, mat,
+    mat_inv, mat_mul, minor, mul_x, opposite_big_cell_factor, rep_simple,
+    rep_weyl, weyl_mul, y_mul, y_product,
 )
 
 
@@ -58,6 +58,8 @@ class TestGenerators:
             gen_y(3, 0, 1)
         with pytest.raises(IndexOutOfRange):
             mul_x(identity_mat(3), 3, 1)
+        with pytest.raises(IndexOutOfRange):
+            y_mul((1, 3), (1, 1), identity_mat(3))
 
 
 class TestRepresentatives:
@@ -394,6 +396,11 @@ class TestSerialization:
             linalg.rat("1e10000000")
         assert time.perf_counter() - start < 0.1
 
+    @pytest.mark.parametrize("value", [0.5, 2.0, True])
+    def test_mat_rejects_inexact_entries(self, value):
+        with pytest.raises(ValueError):
+            mat([[value, 0], [0, 2]])
+
     def test_mat_roundtrip(self):
         m = mat([[1, Rat(1, 2)], [Rat(-3, 4), 1]])
         assert linalg.mat_from_json(linalg.mat_to_json(m)) == m
@@ -469,6 +476,31 @@ class TestMulX:
         a = data.draw(_small | _large)
         for i in range(1, n):
             assert mul_x(m, i, a) == mat_mul(m, gen_x(n, i, a))
+
+
+class TestYMul:
+    """y_mul against the product of y_i(a) matrices in tests/conftest.py,
+    on the conjugator word of psi for every w."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_product_on_every_conjugator_word(self, n):
+        rng = random.Random(90 + n)
+        for w in weyl.all_perms(n):
+            word = richardson.conjugator_word(w)
+            ones, minus_ones = [Rat(1)] * len(word), [Rat(-1)] * len(word)
+            params = [rand_rat(rng) for _ in word]
+            for m in (random_sl(n, rng), sparse_sl(n, rng)):
+                for letters, ps in ((word, ones), (word[::-1], minus_ones),
+                                    (word, params), (word[::-1], params)):
+                    assert y_mul(letters, ps, m) == ref_y_mul(letters, ps, m), (w, m)
+                # y_{i_k}(-1)...y_{i_1}(-1) undoes y_{i_1}(1)...y_{i_k}(1)
+                assert y_mul(word[::-1], minus_ones, y_mul(word, ones, m)) == m, (w, m)
+
+    def test_count_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            y_mul((1, 2), (1,), identity_mat(3))
+        with pytest.raises(ShapeMismatch):
+            y_product(3, (1,), ())
 
 
 # Inputs for the echelon oracle, n in 1..6.  The seeded families draw n and
@@ -666,6 +698,48 @@ class TestColumnEchelon:
         for g in (identity_mat(2), mat([[1, 2], [3, 7]])):
             with pytest.raises(InternalInconsistency):
                 linalg.column_echelon(g)
+
+
+class TestBruhatCell:
+    """bruhat_cell is the w of column_echelon, read without rebuilding c."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_column_echelon(self, n):
+        rng = random.Random(70 + n)
+        for _ in range(15):
+            dense = mat([[rand_rat(rng) for _ in range(n)] for _ in range(n)])
+            for g in (dense, sparse_sl(n, rng), _dependent_column(n, rng)):
+                try:
+                    w = linalg.column_echelon(g)[1]
+                except Singular:
+                    with pytest.raises(Singular):
+                        bruhat_cell(g)
+                    continue
+                assert bruhat_cell(g) == w, g
+
+    def test_singular_carries_a_proved_kernel_vector(self, monkeypatch):
+        proved = []
+        prove = linalg._prove_singular
+
+        def spy(*state):
+            prove(*state)
+            proved.append(state)
+
+        monkeypatch.setattr(linalg, "_prove_singular", spy)
+        with pytest.raises(Singular):
+            bruhat_cell(mat([[1, 2, 0], [Rat(1, 2), 1, 3], [2, 4, Rat(1, 7)]]))
+        assert len(proved) == 1
+
+    def test_stratum_runs_no_rational_rebuild(self, monkeypatch):
+        rng = random.Random(75)
+        points = [borel_from(random_sl(4, rng)) for _ in range(5)]
+        expected = [ref_stratum(b) for b in points]
+        origin = b_plus(4)
+        monkeypatch.setattr(linalg, "column_echelon", None)
+        monkeypatch.setattr(flag, "column_echelon", None)
+        assert [stratum(b) for b in points] == expected
+        assert [relative_position(origin, b) for b in points] == [
+            b.position for b in points]
 
 
 class TestDet:

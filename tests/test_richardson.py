@@ -15,7 +15,7 @@ from tnnflag.errors import (
 )
 from tnnflag.flag import CellIndex, act, b_minus, b_plus, borel_from, stratum
 from tnnflag.linalg import (
-    Rat, gen_x, gen_y, identity_mat, mat_mul, rep_weyl, y_product,
+    Rat, gen_x, gen_y, identity_mat, mat_mul, rep_weyl, y_mul, y_product,
 )
 from tnnflag.richardson import (
     base_point, build_chart, classify, conjugator_word, eval_chart,
@@ -259,8 +259,9 @@ class TestPsi:
     def test_conjugator_inverse_is_the_reversed_word(self):
         for n in range(2, 6):
             for w in weyl.all_perms(n):
-                y, y_inv = richardson._conjugator(n, conjugator_word(w))
-                assert mat_mul(y, y_inv) == identity_mat(n), w
+                word = conjugator_word(w)
+                y_inv = y_mul(word[::-1], [-1] * len(word), identity_mat(n))
+                assert y_mul(word, [1] * len(word), y_inv) == identity_mat(n), w
 
     def test_zero_parameter(self):
         with pytest.raises(ZeroParameter):
@@ -404,6 +405,13 @@ class TestCharts:
             eval_chart(chart, ())
         with pytest.raises(ZeroParameter):
             eval_chart(chart, (Rat(0),))
+
+    @pytest.mark.parametrize("value", [0.1, True])
+    def test_inexact_parameter(self, value):
+        # the arithmetic stays exact: floats and bools are refused, as in the CLI
+        chart = build_chart(weyl.identity(2), weyl.simple(2, 1))
+        with pytest.raises(ValueError):
+            eval_chart(chart, (value,))
 
     def test_roundtrip_n3(self):
         rng = random.Random(20)

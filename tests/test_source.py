@@ -71,7 +71,7 @@ def test_fraction_is_the_rational_type():
 # until it is listed here on purpose
 CACHED = {
     "richardson.base_point", "richardson.build_chart",
-    "richardson.conjugator_word", "richardson._conjugator", "richardson._shared",
+    "richardson.conjugator_word", "richardson._shared",
     "richardson._step_label",
     "weyl._prefix_key", "weyl.bruhat_pairs", "weyl.perm_to_str",
 }
@@ -144,3 +144,29 @@ def test_environment_reads_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_environment_reads(path):
     assert environment_reads(ast.parse(path.read_text())) == []
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """Every name a module imports, reads, or reaches as an attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found |= {a.name for a in node.names}
+    return found
+
+
+def test_names_read_are_found():
+    assert names_read(ast.parse(
+        "from .linalg import mat_mul\nlinalg.y_product(3, (), ())\nf(x)"
+    )) == {"mat_mul", "linalg", "y_product", "f", "x"}
+
+
+# the chart path applies generators as row and column updates
+# (linalg.y_mul, mul_x, weyl_mul); matrix products are for general matrices
+def test_charts_multiply_no_matrices():
+    tree = ast.parse((SRC / "richardson.py").read_text())
+    assert names_read(tree) & {"mat_mul", "y_product"} == set()

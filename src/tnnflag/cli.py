@@ -151,6 +151,8 @@ def cmd_classify(args) -> int:
 
 def cmd_audit(args) -> int:
     _check_rank(args.n)
+    if args.samples < 0:
+        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     decomposition = audit.audit_decomposition(args.n, args.samples, args.seed)
     semigroup = audit.audit_semigroup(args.n, args.samples, args.seed)
     payload = {

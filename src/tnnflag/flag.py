@@ -104,15 +104,15 @@ class CellIndex:
         return {"w": weyl.perm_to_str(self.w), "wp": weyl.perm_to_str(self.wp)}
 
 
-def stratum(b: BorelPt) -> CellIndex:
-    """The (w, w') with b in R_{w,w'}: w from the B^+ side, w' from the B^- side.
+def opposite_position(b: BorelPt) -> Perm:
+    """The w' with B^- --w'--> b: B^- is rep_weyl(w0) * B^+ and rep_weyl(w0)^{-1}
+    is +-rep_weyl(w0), so w' is the position of rep_weyl(w0) * rep from B^+."""
+    return linalg.bruhat_cell(weyl_mul(weyl.longest_element(b.n), b.rep))
 
-    w is w0 times the stored position.  The rep of B^- is rep_weyl(w0) times
-    a diagonal sign matrix in B^+, and rep_weyl(w0)^{-1} = +-rep_weyl(w0), so
-    w' is the position of rep_weyl(w0) * rep from B^+.
-    """
-    w0 = weyl.longest_element(b.n)
-    w = weyl.multiply(w0, b.position)
-    wp = linalg.bruhat_cell(weyl_mul(w0, b.rep))
-    return CellIndex(w, wp)
+
+def stratum(b: BorelPt) -> CellIndex:
+    """The (w, w') with b in R_{w,w'}: w from the B^+ side, w0 times the
+    stored position, and w' from the B^- side, the ``opposite_position``."""
+    w = weyl.multiply(weyl.longest_element(b.n), b.position)
+    return CellIndex(w, opposite_position(b))
 

@@ -19,9 +19,16 @@ second walk.  Inverting b = b_m walks inward through b_{m-1}, ..., b_0 and
 checks b_0 == base_point.  An extend step accepts b_k -> (b_{k-1}, a) only
 when x_partial * x_{i'}(a) == x_full for the big-cell witnesses of y * b_{k-1}
 and y * b_k; psi(b_{k-1}, a) is y^{-1} x_partial x_{i'}(a) w0 * B^+, so that
-identity is psi(b_{k-1}, a) == b_k.  A peel step is checked afterwards as
-phi_down(w', v, b_{k-1}) == b_k.  eval_chart folds the same maps outward from
-the same base point, so by induction on k it reaches b_k at every step and
+identity is psi(b_{k-1}, a) == b_k.  A peel step by v onto R_{w,w'} takes
+b_{k-1} = phi_up(w, v, b_k) = b_k * v.  If A --x--> B --y--> C with
+l(xy) = l(x) + l(y), then A --xy--> C and B is the only such flag (Tits's
+axioms for the W-valued distance; Deodhar 1985), so the walk checks
+B^- --w'--> b_k, which is equivalent to phi_down(w', v, b_{k-1}) == b_k.
+It holds by induction: b_m by the stratum check of classify and
+invert_chart, a peel step's inner point at w'v by the same fact, an extend
+step's as pi's output, which phi_down puts at w's; so a failed check is an
+InternalInconsistency.  eval_chart folds the same maps outward from the
+same base point, so by induction on k it reaches b_k at every step and
 eval_chart(coords) == b.
 """
 
@@ -36,7 +43,7 @@ from .errors import (
     InternalInconsistency, LengthNotAdditive, NotInChartImage, ParamCountMismatch,
     TnnError, WrongCell, WrongStratum, ZeroParameter,
 )
-from .flag import BorelPt, CellIndex, borel_from, stratum
+from .flag import BorelPt, CellIndex, borel_from, opposite_position, stratum
 from .linalg import ONE, Rat, bruhat_factor_plus, mul_x, rep_weyl, weyl_mul, y_mul
 from .weyl import Perm, Word
 
@@ -263,10 +270,6 @@ def eval_chart(chart: Chart, params: Sequence) -> BorelPt:
     params = [linalg.rat(p) for p in params]
     if any(p == 0 for p in params):
         raise ZeroParameter("chart parameters must be nonzero")
-    return _eval(chart, params)
-
-
-def _eval(chart: Chart, params: Sequence) -> BorelPt:
     b = base_point(chart.base)
     coords = iter(params)
     for kind, w, wp, arg in chart.steps:
@@ -278,28 +281,32 @@ def _eval(chart: Chart, params: Sequence) -> BorelPt:
 
 
 def invert_chart(chart: Chart, b: BorelPt) -> tuple:
-    """Recover the chart coordinates of b; total inverse of eval_chart."""
+    """Recover the chart coordinates of b; total inverse of eval_chart.  The
+    stratum check starts the induction by which ``_invert`` proves it."""
     if stratum(b) != chart.index:
         raise WrongStratum(f"point lies in {stratum(b)}, chart is for {chart.index}")
-    return _invert(chart, b)[0]
+    return _invert(chart, b)
 
 
-def _invert(chart: Chart, b: BorelPt) -> tuple[tuple, list]:
-    """The coordinates of b, and (w', v, inner, outer) for each peel step
-    with inner = phi_up(w, v, outer): the data of its round-trip check."""
-    coords, peels = [], []
+def _invert(chart: Chart, b: BorelPt) -> tuple:
+    """The coordinates of b in the chart of its stratum, innermost first, from
+    one walk that proves each step: an extend by psi_inv's residual, a peel by
+    B^- --w'--> outer, which is phi_down(w', v, inner) == outer and holds by
+    induction on the walk (module docstring), else InternalInconsistency."""
+    coords = []
     for step in chart.links():
         w, wp = step.index.w, step.index.wp
         if step.kind == "peel":
-            inner = phi_up(w, step.arg, b)
-            peels.append((wp, step.arg, inner, b))
-            b = inner
+            if (u := opposite_position(b)) != wp:
+                raise InternalInconsistency(
+                    f"peel onto {step.index}: point is at {u} from B^-, expected {wp}")
+            b = phi_up(w, step.arg, b)
         else:
             b, a = psi_inv(w, wp, step.arg, b)
             coords.append(a)
     if b != base_point(chart.base):
         raise NotInChartImage("point differs from the unique base point")
-    return tuple(reversed(coords)), peels
+    return tuple(reversed(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -326,30 +333,21 @@ class ClassifyResult:
 def classify(b: BorelPt) -> ClassifyResult:
     """Locate b in its stratum and decide total nonnegativity.
 
-    Inverts the stratum's chart; the verdict is positive only if the
-    round trip reproduces b exactly and every coordinate is positive.
-
-    The round trip eval_chart(coords) == b is proved by composition on the
-    inversion's own points (see the module docstring): the inversion ends
-    at the base point, each extend step's residual check is
-    psi(inner, a) == outer, and each peel step is checked here, once the
-    inversion has succeeded, as phi_down(w', v, inner) == outer.
-
-    An inversion error gives its class name as the reason, with no
-    coordinates; a failed peel check gives RoundTripMismatch with the
-    coordinates kept.  An exception raised inside a check propagates.
+    Inverts the stratum's chart with ``_invert``, the walk of invert_chart,
+    which proves eval_chart(coords) == b as it goes (module docstring); the
+    verdict is positive only if every coordinate is positive.  An inversion
+    error gives its class name as the reason, with no coordinates; an
+    InternalInconsistency, as from a failed peel check, propagates.
     """
     idx = stratum(b)
     chart = build_chart(idx.w, idx.wp)
     idx = chart.index  # equal to stratum(b), and already held by the chart cache
     try:
-        coords, peels = _invert(chart, b)
+        coords = _invert(chart, b)
     except InternalInconsistency:
         raise
     except TnnError as exc:
         return ClassifyResult(idx, (), False, type(exc).__name__)
-    if any(phi_down(wp, v, inner) != outer for wp, v, inner, outer in peels):
-        return ClassifyResult(idx, coords, False, "RoundTripMismatch")
     if any(c < 0 for c in coords):
         return ClassifyResult(idx, coords, False, "NegativeCoordinate")
     return ClassifyResult(idx, coords, True, "ok")

@@ -301,6 +301,18 @@ class TestAudit:
         code, _ = run(capsys, "audit", "--n", "7")
         assert code == 2
 
+    def test_negative_samples(self, capsys):
+        code, out, err = run_err(capsys, "audit", "--n", "2", "--samples", "-3")
+        assert code == 5
+        assert out == "" and err == "--samples must be nonnegative, got -3\n"
+
+    def test_zero_samples(self, capsys):
+        code, out = run(capsys, "audit", "--n", "2", "--samples", "0")
+        assert code == 0
+        data = json.loads(out)
+        assert data["semigroup"]["samples_total"] == 0
+        assert data["decomposition"]["failures"] == []
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [

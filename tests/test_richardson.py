@@ -1,4 +1,7 @@
+import io
+import json
 import random
+import sys
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -8,12 +11,15 @@ from conftest import (
     marsh_rietsch_point, rand_params, rand_rat, random_sl, ref_build_chart,
     ref_classify, ref_phi_up, ref_shape, ref_stratum, sparse_sl, subword_leq,
 )
-from tnnflag import linalg, richardson, weyl
+from tnnflag import errors, linalg, richardson, weyl
+from tnnflag.cli import main
 from tnnflag.errors import (
-    NotComparable, NotInBigCell, NotInChartImage, ParamCountMismatch, WrongCell,
-    WrongStratum, ZeroParameter,
+    InternalInconsistency, NotComparable, NotInBigCell, NotInChartImage,
+    ParamCountMismatch, WrongCell, WrongStratum, ZeroParameter,
 )
-from tnnflag.flag import CellIndex, act, b_minus, b_plus, borel_from, stratum
+from tnnflag.flag import (
+    CellIndex, act, b_minus, b_plus, borel_from, opposite_position, stratum,
+)
 from tnnflag.linalg import (
     Rat, gen_x, gen_y, identity_mat, mat_mul, rep_weyl, y_mul, y_product,
 )
@@ -655,8 +661,8 @@ class TestClassify:
 
 
 class TestOneWalkRoundTrip:
-    """classify proves its round trip on the inversion's own points;
-    ref_classify (tests/conftest.py) evaluates the chart again."""
+    """classify and invert_chart share one walk that proves its round trip
+    step by step; ref_classify (tests/conftest.py) evaluates the chart again."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_agrees_with_the_full_re_evaluation(self, n):
@@ -672,69 +678,114 @@ class TestOneWalkRoundTrip:
             assert result == ref_classify(b), linalg.mat_to_json(b.rep)
             if result.coords:
                 assert chart_value(result) == b
+            chart = build_chart(result.index.w, result.index.wp)
+            if result.reason in ("ok", "NegativeCoordinate"):
+                assert invert_chart(chart, b) == result.coords
+            else:
+                with pytest.raises(errors.TnnError) as caught:
+                    invert_chart(chart, b)
+                assert caught.type is getattr(errors, result.reason)
             reasons.add(result.reason)
         assert "ok" in reasons and len(reasons) > 1
 
     @staticmethod
-    def _after_inversion(monkeypatch, fault):
-        """Let the inversion run untouched; afterwards, phi_down(w, v, b)
-        returns fault(b) instead of its image."""
-        real_invert, real_phi_down = richardson._invert, richardson.phi_down
-        inverted = []
+    def _round_trips(w, wp, v, outer):
+        """phi_down(w', v, phi_up(w, v, outer)) == outer, False on WrongCell."""
+        try:
+            return phi_down(wp, v, phi_up(w, v, outer)) == outer
+        except WrongCell:
+            return False
 
-        def invert(*args):
-            out = real_invert(*args)
-            inverted.append(True)
-            return out
+    # every peel step of every chart at n <= 4 (SL_2 has none), on the
+    # walk's own points from mixed-sign parameters and on flags at the
+    # step's position w0 w from B^+ and a random position from B^-
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_the_peel_check_is_the_phi_down_round_trip(self, n):
+        rng = random.Random(140 + n)
+        pairs = weyl.bruhat_pairs(n)
+        w0 = weyl.longest_element(n)
+        outcomes = {"walk": set(), "random": set()}
+        for w, wp in pairs:
+            chart = build_chart(w, wp)
+            b = eval_chart(chart, rand_params(rng, chart.dim))
+            for step in chart.links():
+                sw, swp = step.index.w, step.index.wp
+                if step.kind == "extend":
+                    b, _ = psi_inv(sw, swp, step.arg, b)
+                    continue
+                upper = rng.choice([u for x, u in pairs if x == sw])
+                others = [borel_from(cell_point(weyl.multiply(w0, sw), rng)),
+                          eval_chart(build_chart(sw, upper),
+                                     rand_params(rng, weyl.length(upper) - weyl.length(sw)))]
+                for kind, outer in [("walk", b)] + [("random", o) for o in others]:
+                    assert outer.position == weyl.multiply(w0, sw)
+                    check = opposite_position(outer) == swp
+                    assert check == self._round_trips(sw, swp, step.arg, outer)
+                    outcomes[kind].add(check)
+                b = phi_up(sw, step.arg, b)
+        assert outcomes == {"walk": {True}, "random": {True, False}}
 
-        def phi_down(w, v, b):
-            return fault(b) if inverted else real_phi_down(w, v, b)
-
-        monkeypatch.setattr(richardson, "_invert", invert)
-        monkeypatch.setattr(richardson, "phi_down", phi_down)
+    # peel(2,1,3) -> extend(s2) -> peel(1,3,2) -> extend(s1) -> base: the
+    # outer peel checks the flag itself, the inner one pi's output
+    CHART = ((1, 2, 3), (2, 3, 1))
 
     @staticmethod
-    def _to_b_plus(b):
-        return b_plus(b.n)
+    def _assert_internal_error(chart, b, monkeypatch, capsys):
+        """classify and invert_chart raise InternalInconsistency on b, and
+        tnnflag classify exits 7 with one stderr line and no stdout."""
+        with pytest.raises(InternalInconsistency, match="from B\\^-"):
+            classify(b)
+        with pytest.raises(InternalInconsistency, match="from B\\^-"):
+            invert_chart(chart, b)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(linalg.mat_to_json(b.rep))))
+        assert main(["classify", "-"]) == 7
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.endswith("\n")
 
-    def test_a_failed_peel_check_is_a_round_trip_mismatch(self, monkeypatch):
+    def _points(self):
+        """The chart and a positive and a mixed-sign point of it, with
+        their verdicts checked before any fault is injected."""
         rng = random.Random(131)
-        chart = build_chart(weyl.identity(3), (2, 3, 1))
-        assert any(step[0] == "peel" for step in chart.steps)
+        chart = build_chart(*self.CHART)
+        points = []
         for positive in (True, False):
             params = rand_params(rng, chart.dim, positive=positive)
             b = eval_chart(chart, params)
-            assert classify(b).reason == ("ok" if positive else "NegativeCoordinate")
-            with monkeypatch.context() as patch:
-                self._after_inversion(patch, self._to_b_plus)
-                result = classify(b)
-            assert result == richardson.ClassifyResult(
-                chart.index, params, False, "RoundTripMismatch")
+            assert classify(b) == richardson.ClassifyResult(
+                chart.index, params, positive, "ok" if positive else "NegativeCoordinate")
+            assert invert_chart(chart, b) == params
+            points.append(b)
+        return chart, points
 
-    def test_inversion_errors_come_first(self, monkeypatch):
-        # a flag whose inversion fails keeps that reason and no coordinates,
-        # even when every peel check would fail
-        rng = random.Random(132)
-        failed = 0
-        for _ in range(40):
-            b = borel_from(sparse_sl(4, rng))
-            expected = classify(b)
-            if expected.reason in ("ok", "NegativeCoordinate"):
-                continue
-            with monkeypatch.context() as patch:
-                self._after_inversion(patch, self._to_b_plus)
-                assert classify(b) == expected
-            assert expected.coords == () and not expected.nonneg
-            failed += 1
-        assert failed > 0
+    def test_a_corrupted_pi_output_is_an_internal_inconsistency(self, monkeypatch, capsys):
+        chart, points = self._points()
+        real_pi = richardson.pi
+        (step,) = [s for s in chart.links() if s.kind == "extend" and s.inner.kind == "peel"]
 
-    def test_an_error_in_a_check_propagates(self, monkeypatch):
-        chart = build_chart(weyl.identity(3), (2, 3, 1))
-        b = eval_chart(chart, (Rat(1),) * chart.dim)
+        def pi(w, wp, s_index, b):
+            p = real_pi(w, wp, s_index, b)
+            if (w, wp, s_index) != (step.index.w, step.index.wp, step.arg):
+                return p
+            # moved along the fibre of psi: psi_inv's residual check still
+            # passes, with a - 1/1000, but the point is not at w's from B^-
+            return psi(w, step.inner.index.wp, s_index, p, Rat(1, 1000))
 
-        def fault(_b):
-            raise WrongCell("injected")
+        monkeypatch.setattr(richardson, "pi", pi)
+        for b in points:
+            self._assert_internal_error(chart, b, monkeypatch, capsys)
 
-        self._after_inversion(monkeypatch, fault)
-        with pytest.raises(WrongCell, match="injected"):
-            classify(b)
+    @pytest.mark.parametrize("depth", [0, 2], ids=["outer-peel", "inner-peel"])
+    def test_a_corrupted_position_check_is_an_internal_inconsistency(
+            self, monkeypatch, capsys, depth):
+        chart, points = self._points()
+        step = list(chart.links())[depth]
+        assert step.kind == "peel"
+        real = richardson.opposite_position
+
+        def opposite_position(b):
+            u = real(b)
+            return weyl.longest_element(b.n) if u == step.index.wp else u
+
+        monkeypatch.setattr(richardson, "opposite_position", opposite_position)
+        for b in points:
+            self._assert_internal_error(chart, b, monkeypatch, capsys)

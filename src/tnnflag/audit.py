@@ -110,6 +110,8 @@ def _in_semigroup_cell(u: Mat, w: Perm) -> bool:
 
 def audit_decomposition(n: int, samples: int, seed: int) -> AuditReport:
     """Census plus sampling audit of the cell decomposition."""
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     if n > 4:
         raise RankTooLarge(f"n={n} exceeds the audit rank bound")
     report = AuditReport(n=n, seed=seed)
@@ -164,6 +166,8 @@ def audit_decomposition(n: int, samples: int, seed: int) -> AuditReport:
 
 def audit_semigroup(n: int, samples: int, seed: int) -> AuditReport:
     """Minor-nonnegativity and cell-recovery audit of the TNN semigroup."""
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     if n > 5:
         raise RankTooLarge(f"semigroup audit supports n <= 5, got n={n}")
     report = AuditReport(n=n, seed=seed)

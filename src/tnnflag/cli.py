@@ -89,7 +89,8 @@ def cmd_cells(args) -> int:
     writes nothing.
     """
     _check_rank(args.n)
-    charts = [richardson.build_chart(w, wp) for w, wp in weyl.bruhat_pairs(args.n)]
+    table = richardson.ChartTable()  # its charts die with the call
+    charts = [table.chart(w, wp) for w, wp in weyl.iter_bruhat_pairs(args.n)]
     top_dim = max(chart.dim for chart in charts)
     # each permutation is quoted once for the run, not once per cell
     quoted = {w: json.dumps(weyl.perm_to_str(w)) for w in weyl.all_perms(args.n)}
@@ -151,8 +152,6 @@ def cmd_classify(args) -> int:
 
 def cmd_audit(args) -> int:
     _check_rank(args.n)
-    if args.samples < 0:
-        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     decomposition = audit.audit_decomposition(args.n, args.samples, args.seed)
     semigroup = audit.audit_semigroup(args.n, args.samples, args.seed)
     payload = {

@@ -7,12 +7,12 @@ R_{w,w'} isomorphically to R_{wv,w'v} without adding coordinates, and
 coordinate through the map psi.  Both choices are canonical, so a chart is
 its own last step and a link to the chart of the pair that step starts
 from, down to a base point: evaluation folds forward from the base and
-inversion walks the links backward.  Every chart is built once and shared
-through the cache of ``build_chart``, and the permutations it stores are
-shared too, so the census of all cells holds each step once.  Positive
-parameters land in the totally nonnegative part of the stratum; the
-classifier inverts the chart of any rational flag and decides from the
-signs after an exact round trip.
+inversion walks the links backward.  Every chart is built once and shared,
+through the cache of ``build_chart`` or a census's own ``ChartTable``, and
+the permutations it stores are shared too, so a census holds each step
+once.  Positive parameters land in the totally nonnegative part of the
+stratum; the classifier inverts the chart of any rational flag and decides
+from the signs after an exact round trip.
 
 The round trip is proved on the points the inversion computes, with no
 second walk.  Inverting b = b_m walks inward through b_{m-1}, ..., b_0 and
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import linalg, weyl
 from .errors import (
@@ -244,23 +244,38 @@ def _shared(w: Perm) -> Perm:
     return w
 
 
-@lru_cache(maxsize=None)
-def build_chart(w: Perm, wp: Perm) -> Chart:
-    """Build the chart for (w, w') by peeling and descent-pair extension.
-
-    ``weyl.peel`` raises ``NotComparable`` unless w <= w'.
-    """
+def _chart_step(w: Perm, wp: Perm, chart_of: Callable[[Perm, Perm], Chart]) -> Chart:
+    """The chart for (w, w'): its last step, a peel or a descent-pair extension,
+    linked to ``chart_of`` of the pair it starts from.  ``weyl.peel`` raises
+    ``NotComparable`` unless w <= w'."""
     w, wp = _shared(w), _shared(wp)
     if w == wp:
         return Chart(CellIndex(w, wp), 0, w, None, None, None)
     v, wv, wpv = weyl.peel(w, wp)
     index = CellIndex(w, wp)
     if wv != w:  # v is not the identity
-        inner = build_chart(_shared(wv), _shared(wpv))
+        inner = chart_of(_shared(wv), _shared(wpv))
         return Chart(index, inner.dim, inner.base, inner, "peel", _shared(v))
     i = weyl.find_descent_pair(w, wp)
-    inner = build_chart(w, _shared(weyl.right_mult_simple(wp, i)))
+    inner = chart_of(w, _shared(weyl.right_mult_simple(wp, i)))
     return Chart(index, inner.dim + 1, inner.base, inner, "extend", i)
+
+
+@lru_cache(maxsize=weyl.PAIRS_UNDER_RANK_BOUND)
+def build_chart(w: Perm, wp: Perm) -> Chart:
+    """The chart for (w, w'), shared by every caller in the process."""
+    return _chart_step(w, wp, build_chart)
+
+
+class ChartTable(dict):
+    """Charts keyed ``table[w][w']``, built without ``build_chart``'s cache and
+    alive as long as the table or one of them; each inner chart is the table's."""
+
+    def chart(self, w: Perm, wp: Perm) -> Chart:
+        row = self.setdefault(w, {})
+        if (found := row.get(wp)) is None:
+            found = row[wp] = _chart_step(w, wp, self.chart)
+        return found
 
 
 def eval_chart(chart: Chart, params: Sequence) -> BorelPt:

@@ -28,6 +28,10 @@ MAX_RANK = 6
 # bound, so the size of a cache keyed by one permutation
 PERMS_UNDER_RANK_BOUND = sum(math.factorial(n) for n in range(1, MAX_RANK + 1))
 
+# the 1 + 3 + ... + 98,407 pairs w <= w' of every rank up to the bound, so a
+# cache keyed by one pair never evicts; a literal, as counting builds them all
+PAIRS_UNDER_RANK_BOUND = 102_424
+
 
 def validate_perm(images: Sequence[int]) -> Perm:
     """Return ``images`` as a Perm, checking it is a bijection of {1..n}."""
@@ -180,15 +184,11 @@ def _upper_covers(u: Perm) -> Iterator[Perm]:
 
 
 @lru_cache(maxsize=MAX_RANK)
-def bruhat_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
-    """All pairs (w, w') with w <= w', ordered by w, then by w', each in
-    the order of ``all_perms``.
-
-    Each upper interval [u, w0] is u together with the upper intervals of
-    the covers of u, which come later in ``all_perms``; walking it backwards
-    builds every interval as a bitset over ``all_perms`` without testing
-    all (n!)^2 pairs.
-    """
+def _upper_intervals(n: int) -> tuple[tuple[Perm, ...], tuple[int, ...]]:
+    """``all_perms(n)`` and the upper interval [u, w0] of each u in it, as a
+    bitset over that list: u and the intervals of the covers of u, which come
+    later in ``all_perms``, so a backward walk builds every interval without
+    testing all (n!)^2 pairs."""
     if n > MAX_RANK:
         raise RankTooLarge(f"n={n} exceeds the rank bound {MAX_RANK}")
     perms = all_perms(n)
@@ -199,12 +199,23 @@ def bruhat_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
         for v in _upper_covers(perms[k]):
             bits |= upper[position[v]]
         upper[k] = bits
-    return tuple(
-        (u, w)
-        for u, bits in zip(perms, upper)
+    return tuple(perms), tuple(upper)
+
+
+def iter_bruhat_pairs(n: int) -> Iterator[tuple[Perm, Perm]]:
+    """All pairs (w, w') with w <= w', ordered by w, then by w', each in
+    the order of ``all_perms``, one at a time."""
+    perms, upper = _upper_intervals(n)
+    for u, bits in zip(perms, upper):
         # bin() lists the bits high to low; reversed, character k is bit k
-        for w in itertools.compress(perms, map("1".__eq__, bin(bits)[:1:-1]))
-    )
+        for w in itertools.compress(perms, map("1".__eq__, bin(bits)[:1:-1])):
+            yield u, w
+
+
+@lru_cache(maxsize=MAX_RANK)
+def bruhat_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
+    """The pairs of ``iter_bruhat_pairs(n)`` as one tuple."""
+    return tuple(iter_bruhat_pairs(n))
 
 
 def peel(w: Perm, wp: Perm) -> tuple[Perm, Perm, Perm]:

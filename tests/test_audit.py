@@ -131,6 +131,21 @@ class TestAuditSemigroup:
         assert len(report.failures) == report.samples_total
 
 
+class TestSampleCount:
+    @pytest.mark.parametrize("audit_fn", [audit_decomposition, audit_semigroup])
+    def test_negative_samples_rejected(self, audit_fn):
+        with pytest.raises(ValueError):
+            audit_fn(2, -3, 0)
+        # before the rank bound, as the CLI reports it
+        with pytest.raises(ValueError):
+            audit_fn(6, -1, 0)
+
+    def test_zero_samples_run_no_sample(self):
+        assert audit_semigroup(2, 0, 0).samples_total == 0
+        # only the census and round-trip records of the 3 cells of SL_2
+        assert audit_decomposition(2, 0, 0).samples_total == 2 * 3
+
+
 class TestReport:
     def test_json_shape(self):
         report = audit_decomposition(2, samples=1, seed=0)

@@ -304,7 +304,14 @@ class TestAudit:
     def test_negative_samples(self, capsys):
         code, out, err = run_err(capsys, "audit", "--n", "2", "--samples", "-3")
         assert code == 5
-        assert out == "" and err == "--samples must be nonnegative, got -3\n"
+        assert out == "" and err == "samples must be nonnegative, got -3\n"
+
+    # the audit functions refuse a negative count before their own rank
+    # bounds, so this stays a usage error rather than a rank error
+    def test_negative_samples_above_the_audit_rank(self, capsys):
+        code, out, err = run_err(capsys, "audit", "--n", "5", "--samples", "-3")
+        assert code == 5
+        assert out == "" and err == "samples must be nonnegative, got -3\n"
 
     def test_zero_samples(self, capsys):
         code, out = run(capsys, "audit", "--n", "2", "--samples", "0")
@@ -465,11 +472,13 @@ class TestOutputIsJson:
 
 
 class TestInternalError:
+    # cells builds its charts through its own table, not build_chart's cache,
+    # so the fault goes into the step builder that both share
     def test_exit_7(self, capsys, monkeypatch):
         def broken(*args):
             raise InternalInconsistency("chart contract violated")
 
-        monkeypatch.setattr(richardson, "build_chart", broken)
+        monkeypatch.setattr(richardson, "_chart_step", broken)
         code, out, err = run_err(capsys, "cells", "--n", "2")
         assert code == 7
         assert out == ""
@@ -478,19 +487,20 @@ class TestInternalError:
     def test_failed_check_creates_no_output_file(self, capsys, monkeypatch,
                                                 tmp_path):
         # cells builds every chart before it opens the output
-        real, built = richardson.build_chart, []
+        real, built = richardson._chart_step, []
 
-        def fail_on_last(w, wp):
+        def fail_on_last(w, wp, chart_of):
             built.append((w, wp))
             if len(built) == len(weyl.bruhat_pairs(3)):
                 raise InternalInconsistency("chart contract violated")
-            return real(w, wp)
+            return real(w, wp, chart_of)
 
-        monkeypatch.setattr(richardson, "build_chart", fail_on_last)
+        monkeypatch.setattr(richardson, "_chart_step", fail_on_last)
         path = tmp_path / "cells.json"
         code, out, _ = run_err(capsys, "cells", "--n", "3", "--output", str(path))
         assert code == 7 and out == ""
         assert not path.exists()
+        assert len(set(built)) == len(built) == len(weyl.bruhat_pairs(3))
 
     def test_failed_factor_check_exits_7(self, capsys, monkeypatch):
         # an echelon with a 1 below a pivot breaks the triangular left factor

@@ -1,7 +1,9 @@
+import gc
 import io
 import json
 import random
 import sys
+import weakref
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -487,6 +489,15 @@ class TestCharts:
         assert result.reason == ("ok" if result.nonneg else "NegativeCoordinate")
 
 
+def inner_pair(chart):
+    """The pair that a chart's last step starts from, read from the step."""
+    w, wp = chart.index.w, chart.index.wp
+    if chart.kind == "peel":
+        return weyl.multiply(w, chart.arg), weyl.multiply(wp, chart.arg)
+    assert chart.kind == "extend"
+    return w, weyl.right_mult_simple(wp, chart.arg)
+
+
 class TestChartLinks:
     """A chart is its last step linked to the cached chart of its inner pair."""
 
@@ -506,12 +517,7 @@ class TestChartLinks:
                 if w == wp:
                     assert (chart.inner, chart.kind, chart.arg) == (None, None, None)
                     continue
-                if chart.kind == "peel":
-                    pair = (weyl.multiply(w, chart.arg), weyl.multiply(wp, chart.arg))
-                else:
-                    assert chart.kind == "extend"
-                    pair = (w, weyl.right_mult_simple(wp, chart.arg))
-                assert chart.inner is build_chart(*pair)
+                assert chart.inner is build_chart(*inner_pair(chart))
 
     def test_equal_permutations_are_one_object(self):
         # rebuilt from empty caches, so that every chart is built here
@@ -537,6 +543,57 @@ class TestChartLinks:
         for u, w in incomparable:
             with pytest.raises(NotComparable):
                 build_chart(u, w)
+
+
+def live_charts():
+    return sum(isinstance(obj, richardson.Chart) for obj in gc.get_objects())
+
+
+class TestChartTable:
+    """The census builds its charts through a table that dies with its run."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_the_cached_charts(self, n):
+        table = richardson.ChartTable()
+        for w, wp in weyl.bruhat_pairs(n):
+            chart, cached = table.chart(w, wp), build_chart(w, wp)
+            assert chart is not cached
+            assert chart.index == cached.index
+            assert (chart.dim, chart.base, chart.steps) == \
+                (cached.dim, cached.base, cached.steps)
+            assert chart.shape() == cached.shape()
+
+    def test_inner_is_the_table_chart_of_the_inner_pair(self):
+        table = richardson.ChartTable()
+        for n in (2, 3, 4, 5):
+            for w, wp in weyl.bruhat_pairs(n):
+                chart = table.chart(w, wp)
+                assert table[w][wp] is chart is table.chart(w, wp)
+                if w == wp:
+                    assert chart.inner is None
+                    continue
+                iw, iwp = inner_pair(chart)
+                # looked up, not built: the table built it with the chart
+                assert chart.inner is table[iw][iwp]
+
+    def test_the_census_keeps_no_chart(self, capsys, monkeypatch):
+        tables = []
+
+        class Recorded(richardson.ChartTable):
+            def __init__(self):
+                super().__init__()
+                tables.append(weakref.ref(self))
+
+        monkeypatch.setattr(richardson, "ChartTable", Recorded)
+        gc.collect()
+        before, cached = live_charts(), build_chart.cache_info().currsize
+        assert main(["cells", "--n", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 213
+        # the table holds no reference cycle, so it is freed on return
+        assert len(tables) == 1 and tables[0]() is None
+        gc.collect()
+        assert live_charts() == before
+        assert build_chart.cache_info().currsize == cached
 
 
 class TestEquivariance:

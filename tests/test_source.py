@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tnnflag import linalg
+from tnnflag import linalg, richardson, weyl
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tnnflag"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -73,13 +73,14 @@ CACHED = {
     "richardson.base_point", "richardson.build_chart",
     "richardson.conjugator_word", "richardson._shared",
     "richardson._step_label",
-    "weyl._prefix_key", "weyl.bruhat_pairs", "weyl.perm_to_str",
+    "weyl._prefix_key", "weyl._upper_intervals", "weyl.bruhat_pairs",
+    "weyl.perm_to_str",
 }
 
 
-# caches with no size bound; it waits on the benchmark worker, which clears
-# it between census passes
-UNBOUNDED = {"richardson.build_chart"}
+# caches with no size bound: a process that builds charts of many ranks must
+# not grow without limit
+UNBOUNDED = set()
 
 
 def cached_functions(path: Path) -> dict[str, bool]:
@@ -116,6 +117,16 @@ def test_caches_are_allowlisted():
 
 def test_only_the_allowlisted_caches_are_unbounded():
     assert {name for name, unbounded in _all_caches().items() if unbounded} == UNBOUNDED
+
+
+# the chart cache's bound is a literal so that importing weyl builds no
+# interval; it must be the number of pairs up to the rank bound, so that the
+# cache never evicts a chart that another chart links to
+def test_pair_bound_counts_every_pair():
+    assert weyl.PAIRS_UNDER_RANK_BOUND == sum(
+        len(weyl.bruhat_pairs(n)) for n in range(1, weyl.MAX_RANK + 1))
+    assert richardson.build_chart.cache_parameters()["maxsize"] == \
+        weyl.PAIRS_UNDER_RANK_BOUND
 
 
 ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}

@@ -157,6 +157,18 @@ class TestBruhatPairs:
         with pytest.raises(RankTooLarge):
             weyl.bruhat_pairs(9)
 
+    # the census walks the pairs lazily, in the order of the held tuple;
+    # OEIS A007767 counts them
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 19), (4, 213),
+                                          (5, 3781), (6, 98407)])
+    def test_lazy_pairs_match(self, n, count):
+        pairs = tuple(weyl.iter_bruhat_pairs(n))
+        assert pairs == weyl.bruhat_pairs(n) and len(pairs) == count
+
+    def test_lazy_rank_bound(self):
+        with pytest.raises(RankTooLarge):
+            next(weyl.iter_bruhat_pairs(9))
+
 
 class TestPeel:
     def test_equal_identity_pair(self):

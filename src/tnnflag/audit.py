@@ -75,19 +75,11 @@ def mask_letters(n: int, subset_mask: int) -> list[int]:
     return [i for k, i in enumerate(word) if subset_mask >> k & 1]
 
 
-def _all_index_subsets(n: int, size: int):
-    return itertools.combinations(range(1, n + 1), size)
-
-
 def is_tnn_lower(u: Mat) -> bool:
-    """All square minors nonnegative, checked exhaustively."""
-    n = len(u)
-    for k in range(1, n + 1):
-        for rows in _all_index_subsets(n, k):
-            for cols in _all_index_subsets(n, k):
-                if linalg.minor(u, rows, cols) < 0:
-                    return False
-    return True
+    """All square minors nonnegative: the signs of the one integer table of
+    u (``linalg.integer_minors``), read level by level up to a negative."""
+    _, levels = linalg.integer_minors(u)
+    return all(min(level.values()) >= 0 for level in levels)
 
 
 def semigroup_cell_of(u: Mat) -> Perm:

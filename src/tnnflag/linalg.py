@@ -19,17 +19,19 @@ B^- when w = w0.  It is fraction-free: it clears denominators column by
 column, eliminates on Python ints by cross-multiplication with content
 removal, and proves its result in integers before it converts c back to
 rationals.  That proof is the reconstruction check of the Bruhat
-factorization as well.  ``det`` reads its pivot product and
-``bruhat_cell`` its pivots without rebuilding c, so every nonzero minor
-and every Bruhat cell carries the proof; a singular verdict, and so a
-zero minor, carries a proved integer kernel vector instead.
+factorization as well.  ``bruhat_cell`` reads the pivots without
+rebuilding c, so every Bruhat cell carries the proof; a singular verdict
+carries a proved integer kernel vector instead.  Minors run no
+elimination: ``integer_minors`` expands them by Laplace on the same
+cleared integer columns, the definition of the determinant.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction as Rat
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import weyl
 from .errors import (
@@ -103,13 +105,14 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def det(a: Mat) -> "Rat":
-    """Determinant read from the column echelon: sgn(w) times the pivot
-    product, or 0 when the echelon finds a is singular."""
-    try:
-        _, w, pivot_product = _integer_echelon(a)
-    except Singular:
-        return ZERO
-    return -pivot_product if weyl.length(w) % 2 else pivot_product
+    """Determinant as the last level of ``integer_minors(a, chain=True)``,
+    n * 2^(n-1) integer products, over the column scales; no elimination."""
+    scales, levels = integer_minors(a, chain=True)
+    top = {(): 1}
+    for top in levels:
+        pass
+    (value,) = top.values()
+    return Rat(value, math.prod(scales))
 
 
 def mat_inv(a: Mat) -> Mat:
@@ -132,13 +135,18 @@ def mat_inv(a: Mat) -> Mat:
 
 
 def minor(m: Mat, rows: Iterable[int], cols: Iterable[int]) -> "Rat":
-    """Determinant of the submatrix on 1-based row/column index sets."""
-    rows = sorted(rows)
-    cols = sorted(cols)
+    """Determinant of the submatrix on 1-based row/column index sets,
+    checked first: IndexOutOfRange outside 1..n, ShapeMismatch for a
+    repeated index or sets of different sizes."""
+    rows, cols = sorted(rows), sorted(cols)
     if len(rows) != len(cols) or not rows:
         raise ShapeMismatch("row and column sets must be nonempty and equal-sized")
-    sub = tuple(tuple(m[i - 1][j - 1] for j in cols) for i in rows)
-    return det(sub)
+    for index in (rows, cols):
+        if index[0] < 1 or index[-1] > len(m):
+            raise IndexOutOfRange(f"index set {index} not in 1..{len(m)}")
+        if len(set(index)) != len(index):
+            raise ShapeMismatch(f"index set {index} repeats an index")
+    return det(tuple(tuple(m[i - 1][j - 1] for j in cols) for i in rows))
 
 
 def is_upper_triangular(m: Mat) -> bool:
@@ -272,6 +280,53 @@ def bruhat_cell(g: Mat) -> Perm:
     return _integer_echelon(g)[1]
 
 
+def _clear_columns(g: Mat) -> tuple[list[list[int]], list[int]]:
+    """The integer columns of G = g * D, D = diag(d_j), d_j the lcd of column j."""
+    cols, scales = [], []
+    for column in zip(*g):
+        dens = [x.denominator for x in column]
+        d = math.lcm(*dens)
+        scales.append(d)
+        cols.append([x.numerator if q == d else x.numerator * (d // q)
+                     for x, q in zip(column, dens)])
+    return cols, scales
+
+
+def integer_minors(g: Mat, *, chain: bool = False) -> tuple[list[int], Iterator[dict]]:
+    """The d_j of ``_clear_columns(g)`` and an iterator over the levels
+    k = 1..n of the square minors of G = g * D, each a dict {(I, J): Delta}
+    on 1-based index sets of size k, with J = (1..k) alone when ``chain``.
+    Level k comes from level k - 1, the only one kept, by Laplace along the
+    last column j of J: Delta(I, J) = sum over r in I of (-1)^#{i in I :
+    i > r} * G[r][j] * Delta(I - r, J - j).  The d_j are positive, so Delta
+    has the sign of the minor of g, which is Delta / prod(d_j for j in J)."""
+    cols, scales = _clear_columns(g)
+    n = len(cols)
+
+    def levels():
+        prev = {((), ()): 1}
+        for k in range(1, n + 1):
+            # each row set I with its terms (r, I - r, whether the sign of r is odd)
+            expansions = [(rows, [(r - 1, rows[:p] + rows[p + 1:], (k - 1 - p) % 2)
+                                  for p, r in enumerate(rows)])
+                          for rows in itertools.combinations(range(1, n + 1), k)]
+            level = {}
+            for cset in ([tuple(range(1, k + 1))] if chain
+                         else itertools.combinations(range(1, n + 1), k)):
+                col, rest = cols[cset[-1] - 1], cset[:-1]
+                for rows, terms in expansions:
+                    total = 0
+                    for r, sub, odd in terms:
+                        if x := col[r]:
+                            x *= prev[sub, rest]
+                            total = total - x if odd else total + x
+                    level[rows, cset] = total
+            yield level
+            prev = level
+
+    return scales, levels()
+
+
 def _integer_echelon(g: Mat) -> tuple[list[list[int]], Perm, "Rat"]:
     """The proved integer columns C_j, their pivot rows (1-based, the
     permutation w) and the pivot product of ``column_echelon(g)``.
@@ -279,14 +334,7 @@ def _integer_echelon(g: Mat) -> tuple[list[list[int]], Perm, "Rat"]:
     Raises Singular only with a proved kernel vector (``_prove_singular``).
     """
     n = len(g)
-    scales = []
-    cols = []
-    for column in zip(*g):
-        dens = [x.denominator for x in column]
-        d = math.lcm(*dens)
-        scales.append(d)
-        cols.append([x.numerator if q == d else x.numerator * (d // q)
-                     for x, q in zip(column, dens)])
+    cols, scales = _clear_columns(g)
     echelon: list[list[int]] = []
     ts: list[list[int]] = []
     ss: list[int] = []

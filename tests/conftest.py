@@ -307,6 +307,16 @@ def leibniz_det(rows):
     return total
 
 
+def ref_is_tnn(m):
+    """Every square minor of m nonnegative, each a Leibniz sum (small sizes only)."""
+    n = len(m)
+    return all(
+        leibniz_det([[m[i][j] for j in cols] for i in rows]) >= 0
+        for k in range(1, n + 1)
+        for rows in itertools.combinations(range(n), k)
+        for cols in itertools.combinations(range(n), k))
+
+
 def flag_minors_tnn(g):
     """Chart-free oracle: is the flag g * B^+ totally nonnegative?
 

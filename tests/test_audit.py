@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from conftest import report_text
-from tnnflag import audit, weyl
+from conftest import rand_rat, ref_is_tnn, report_text
+from tnnflag import audit, linalg, weyl
 from tnnflag.audit import (
     AuditReport, audit_decomposition, audit_semigroup, sample_tnn_flag,
     semigroup_cell_of,
@@ -70,6 +70,72 @@ class TestSemigroupCellOf:
                 u = y_product(3, word,
                               [Rat(rng.randint(1, 9)) for _ in word])
                 assert semigroup_cell_of(u) == w
+
+
+class TestIsTnnLower:
+    """is_tnn_lower against an exhaustive Leibniz loop over every minor."""
+
+    # the counterexample of test_negative_minor_rejected_n5
+    COUNTEREXAMPLE = [Rat(-1, 50), Rat(1, 3), Rat(2, 7), Rat(3), Rat(5, 7),
+                      Rat(7, 2), Rat(1), Rat(7, 6), Rat(9, 5), Rat(9, 4)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_positive_products(self, n):
+        rng = random.Random(40 + n)
+        perms = weyl.all_perms(n)
+        for w in rng.sample(perms, min(6, len(perms))):
+            word = weyl.reduced_word(w)
+            u = y_product(n, word, [rand_rat(rng, positive=True) for _ in word])
+            assert audit.is_tnn_lower(u) and ref_is_tnn(u), u
+
+    def test_signed_products(self):
+        rng = random.Random(46)
+        verdicts = []
+        for n in (2, 3, 4, 5):
+            perms = weyl.all_perms(n)
+            for w in rng.sample(perms, min(6, len(perms))):
+                word = weyl.reduced_word(w)
+                u = y_product(n, word, [rand_rat(rng) for _ in word])
+                verdicts.append(audit.is_tnn_lower(u))
+                assert verdicts[-1] == ref_is_tnn(u), u
+        assert set(verdicts) == {True, False}
+
+    def test_counterexample_n5(self):
+        word = weyl.reduced_word(weyl.longest_element(5))
+        u = y_product(5, word, self.COUNTEREXAMPLE)
+        assert not audit.is_tnn_lower(u) and not ref_is_tnn(u)
+
+    def test_one_table_per_call(self, monkeypatch):
+        tables = []
+        build = linalg.integer_minors
+        monkeypatch.setattr(linalg, "integer_minors",
+                            lambda g, **kw: tables.append(g) or build(g, **kw))
+        monkeypatch.setattr(linalg, "det", None)
+        monkeypatch.setattr(linalg, "minor", None)
+        word = weyl.reduced_word(weyl.longest_element(4))
+        us = [y_product(4, word, [Rat(k + 1) for k in range(len(word))]),
+              y_product(5, weyl.reduced_word(weyl.longest_element(5)),
+                        self.COUNTEREXAMPLE)]
+        for u in us:
+            audit.is_tnn_lower(u)
+        assert tables == us
+
+    def test_negative_table_entry_is_a_failure(self, monkeypatch):
+        # fault injection: one minor of the last level reads negative
+        build = linalg.integer_minors
+
+        def corrupted(g, **kw):
+            scales, levels = build(g, **kw)
+            levels = list(levels)
+            key = next(iter(levels[-1]))
+            levels[-1][key] = -1
+            return scales, iter(levels)
+
+        assert audit_semigroup(3, samples=1, seed=1).failures == []
+        monkeypatch.setattr(linalg, "integer_minors", corrupted)
+        report = audit_semigroup(3, samples=1, seed=1)
+        assert report.samples_passed == 0
+        assert len(report.failures) == report.samples_total > 0
 
 
 class TestAuditDecomposition:

@@ -19,11 +19,13 @@ B^- when w = w0.  It is fraction-free: it clears denominators column by
 column, eliminates on Python ints by cross-multiplication with content
 removal, and proves its result in integers before it converts c back to
 rationals.  That proof is the reconstruction check of the Bruhat
-factorization as well.  ``bruhat_cell`` reads the pivots without
-rebuilding c, so every Bruhat cell carries the proof; a singular verdict
-carries a proved integer kernel vector instead.  Minors run no
-elimination: ``integer_minors`` expands them by Laplace on the same
-cleared integer columns, the definition of the determinant.
+factorization as well.  ``det`` reads its pivot product and
+``bruhat_cell`` its pivots without rebuilding c, so every nonzero minor
+and every Bruhat cell carries the proof; a singular verdict, and so a
+zero minor, carries a proved integer kernel vector instead.  To read
+every square minor at once, ``integer_minors`` expands them all by
+Laplace on the same cleared integer columns, the definition of the
+determinant, with no elimination.
 """
 
 from __future__ import annotations
@@ -105,14 +107,13 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def det(a: Mat) -> "Rat":
-    """Determinant as the last level of ``integer_minors(a, chain=True)``,
-    n * 2^(n-1) integer products, over the column scales; no elimination."""
-    scales, levels = integer_minors(a, chain=True)
-    top = {(): 1}
-    for top in levels:
-        pass
-    (value,) = top.values()
-    return Rat(value, math.prod(scales))
+    """Determinant read from the column echelon: sgn(w) times the pivot
+    product, or 0 when the echelon finds a is singular."""
+    try:
+        _, w, pivot_product = _integer_echelon(a)
+    except Singular:
+        return ZERO
+    return -pivot_product if weyl.length(w) % 2 else pivot_product
 
 
 def mat_inv(a: Mat) -> Mat:
@@ -292,10 +293,10 @@ def _clear_columns(g: Mat) -> tuple[list[list[int]], list[int]]:
     return cols, scales
 
 
-def integer_minors(g: Mat, *, chain: bool = False) -> tuple[list[int], Iterator[dict]]:
+def integer_minors(g: Mat) -> tuple[list[int], Iterator[dict]]:
     """The d_j of ``_clear_columns(g)`` and an iterator over the levels
     k = 1..n of the square minors of G = g * D, each a dict {(I, J): Delta}
-    on 1-based index sets of size k, with J = (1..k) alone when ``chain``.
+    on 1-based index sets of size k.
     Level k comes from level k - 1, the only one kept, by Laplace along the
     last column j of J: Delta(I, J) = sum over r in I of (-1)^#{i in I :
     i > r} * G[r][j] * Delta(I - r, J - j).  The d_j are positive, so Delta
@@ -311,8 +312,7 @@ def integer_minors(g: Mat, *, chain: bool = False) -> tuple[list[int], Iterator[
                                   for p, r in enumerate(rows)])
                           for rows in itertools.combinations(range(1, n + 1), k)]
             level = {}
-            for cset in ([tuple(range(1, k + 1))] if chain
-                         else itertools.combinations(range(1, n + 1), k)):
+            for cset in itertools.combinations(range(1, n + 1), k):
                 col, rest = cols[cset[-1] - 1], cset[:-1]
                 for rows, terms in expansions:
                     total = 0

@@ -758,8 +758,9 @@ class TestBruhatCell:
 
 
 class TestDet:
-    """det and minor read the integer Laplace table; the Leibniz sum in
-    tests/conftest.py is the independent oracle."""
+    """det and minor read the column echelon, integer_minors expands every
+    minor by Laplace; the Leibniz sum in tests/conftest.py is the
+    independent oracle."""
 
     @staticmethod
     def _inputs(n, rng):
@@ -791,38 +792,31 @@ class TestDet:
                     sub = [[g[i - 1][j - 1] for j in cols] for i in rows]
                     assert minor(g, rows, cols) == leibniz_det(sub), (rows, cols)
 
-    @staticmethod
-    def _refuse_elimination(monkeypatch):
-        def refuse(*args):
-            raise AssertionError("det and minor run no elimination")
-
-        monkeypatch.setattr(linalg, "_integer_echelon", refuse)
-        monkeypatch.setattr(linalg, "column_echelon", refuse)
-
-    def test_singular_minor_runs_no_elimination(self, monkeypatch):
+    def test_every_singular_minor_is_proved(self, monkeypatch):
         def refuse(*state):
             raise InternalInconsistency("proof refused")
 
-        g = mat([[1, 2], [2, 4]])
-        with monkeypatch.context() as patch:
-            self._refuse_elimination(patch)
-            assert minor(g, [1, 2], [1, 2]) == 0 == leibniz_det(g)
-        # a singular flag is still a verdict of the echelon, with its proof
+        assert minor(mat([[1, 2], [2, 4]]), [1, 2], [1, 2]) == 0
         monkeypatch.setattr(linalg, "_prove_singular", refuse)
         with pytest.raises(InternalInconsistency):
-            borel_from(g)
+            minor(mat([[1, 2], [2, 4]]), [1, 2], [1, 2])
+        with pytest.raises(InternalInconsistency):
+            borel_from(mat([[1, 2], [2, 4]]))
 
-    def test_det_runs_no_elimination(self, monkeypatch):
-        self._refuse_elimination(monkeypatch)
-        g = mat([[2, Rat(1, 3)], [Rat(-1, 2), 1]])
-        assert det(g) == Rat(13, 6) == leibniz_det(g)
+    def test_det_runs_no_rational_rebuild(self, monkeypatch):
+        # det stops at the proved pivot product; only column_echelon builds c
+        monkeypatch.setattr(linalg, "column_echelon", None)
+        assert det(mat([[2, Rat(1, 3)], [Rat(-1, 2), 1]])) == Rat(13, 6)
 
-    def test_nonsingular_minors_run_no_elimination(self, monkeypatch):
-        self._refuse_elimination(monkeypatch)
+    def test_every_nonsingular_minor_is_proved(self, monkeypatch):
+        def refuse(*state):
+            raise InternalInconsistency("proof refused")
+
+        monkeypatch.setattr(linalg, "_prove_echelon", refuse)
         g = mat([[2, Rat(1, 3), 5], [Rat(-1, 2), 1, 0], [4, 7, Rat(1, 5)]])
         for rows, cols in (([1], [2]), ([1, 3], [2, 3]), ([1, 2, 3], [1, 2, 3])):
-            sub = [[g[i - 1][j - 1] for j in cols] for i in rows]
-            assert minor(g, rows, cols) == leibniz_det(sub) != 0, (rows, cols)
+            with pytest.raises(InternalInconsistency):
+                minor(g, rows, cols)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_table_matches_leibniz_on_every_index_set(self, n):
@@ -841,27 +835,22 @@ class TestDet:
                 seen += len(level)
             assert seen == math.comb(2 * n, n) - 1
 
-    def test_chain_reads_only_the_leading_columns(self):
-        g = mat([[2, Rat(1, 3), 5], [Rat(-1, 2), 1, 0], [4, 7, Rat(1, 5)]])
-        _, chain = linalg.integer_minors(g, chain=True)
-        _, full = linalg.integer_minors(g)
-        for k, (part, whole) in enumerate(zip(chain, full), 1):
-            assert part == {key: value for key, value in whole.items()
-                            if key[1] == tuple(range(1, k + 1))}
-            assert len(part) == math.comb(3, k)
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_det_is_the_signed_pivot_product(self, n):
-        # the expansion against the echelon's proved pivot product
+    def test_table_top_is_the_signed_pivot_product(self, n):
+        # the expansion's full-size minor against the echelon's proved one
         rng = random.Random(100 + n)
         singular = set()
         for g in itertools.chain(self._inputs(n, rng), (sparse_sl(n, rng),)):
+            scales, levels = linalg.integer_minors(g)
+            *_, top = levels
+            (value,) = top.values()
             try:
                 _, w, pivot_product = linalg._integer_echelon(g)
             except Singular:
                 singular.add(True)
-                assert det(g) == 0, g
+                assert value == 0, g
                 continue
             singular.add(False)
-            assert det(g) == (-1) ** weyl.length(w) * pivot_product != 0, g
+            expected = (-1) ** weyl.length(w) * pivot_product
+            assert Rat(value, math.prod(scales)) == expected != 0, g
         assert singular == {True, False}

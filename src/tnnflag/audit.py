@@ -77,7 +77,8 @@ def mask_letters(n: int, subset_mask: int) -> list[int]:
 
 def is_tnn_lower(u: Mat) -> bool:
     """All square minors nonnegative: the signs of the one integer table of
-    u (``linalg.integer_minors``), read level by level up to a negative."""
+    u (``linalg.integer_minors``), read level by level up to a negative;
+    RankTooLarge above the rank bound, before any level is built."""
     _, levels = linalg.integer_minors(u)
     return all(min(level.values()) >= 0 for level in levels)
 
@@ -102,6 +103,8 @@ def _in_semigroup_cell(u: Mat, w: Perm) -> bool:
 
 def audit_decomposition(n: int, samples: int, seed: int) -> AuditReport:
     """Census plus sampling audit of the cell decomposition."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     if n > 4:
@@ -158,6 +161,8 @@ def audit_decomposition(n: int, samples: int, seed: int) -> AuditReport:
 
 def audit_semigroup(n: int, samples: int, seed: int) -> AuditReport:
     """Minor-nonnegativity and cell-recovery audit of the TNN semigroup."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     if n > 5:

@@ -98,8 +98,9 @@ def cmd_cells(args) -> int:
         fh.write('{\n  "cells": [')
         for k, chart in enumerate(charts):
             fh.write(",\n" if k else "\n")
+            # step labels and " -> " need no JSON escape (richardson._step)
             fh.write(_CELL.format(
-                chart.dim, json.dumps(chart.shape()),
+                chart.dim, '"' + chart.shape() + '"',
                 quoted[chart.index.w], quoted[chart.index.wp],
             ))
         fh.write(f'\n  ],\n  "count": {len(charts)},\n  "n": {args.n},\n'

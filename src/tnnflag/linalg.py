@@ -37,7 +37,8 @@ from typing import Iterable, Iterator, Sequence
 
 from . import weyl
 from .errors import (
-    IndexOutOfRange, InternalInconsistency, NotInBigCell, ShapeMismatch, Singular,
+    IndexOutOfRange, InternalInconsistency, NotInBigCell, RankTooLarge, ShapeMismatch,
+    Singular,
 )
 from .weyl import Perm
 
@@ -300,7 +301,11 @@ def integer_minors(g: Mat) -> tuple[list[int], Iterator[dict]]:
     Level k comes from level k - 1, the only one kept, by Laplace along the
     last column j of J: Delta(I, J) = sum over r in I of (-1)^#{i in I :
     i > r} * G[r][j] * Delta(I - r, J - j).  The d_j are positive, so Delta
-    has the sign of the minor of g, which is Delta / prod(d_j for j in J)."""
+    has the sign of the minor of g, which is Delta / prod(d_j for j in J).
+    Level k holds C(n, k)^2 entries, so n is held to the rank bound, and
+    checked before any column is cleared."""
+    if len(g) > weyl.MAX_RANK:
+        raise RankTooLarge(f"n={len(g)} exceeds the rank bound {weyl.MAX_RANK}")
     cols, scales = _clear_columns(g)
     n = len(cols)
 

@@ -167,22 +167,31 @@ class Chart:
 
     ``index`` is the pair (w, w') the step maps onto, ``base`` the u of the
     innermost chart R_{u,u}, and ``inner`` the chart of the pair the step
-    starts from, ``None`` for the base chart itself.  The step is
+    starts from, ``None`` for the base chart itself.  ``step`` is the shared
+    record ``(kind, arg, label)`` of ``_step``, with ``kind`` and ``arg``
+    readable as properties:
 
     - ``kind == "peel"``: phi_down from R_{wv,w'v} with ``arg == v``, no new
       coordinate;
     - ``kind == "extend"``: psi from R_{w,w's_i} with ``arg == i``, one new
       coordinate; its conjugating y-element is a function of w.
 
-    The base chart has ``kind`` and ``arg`` ``None``.
+    The base chart has ``kind`` and ``arg`` ``None`` and the label ``base``.
     """
 
     index: CellIndex
     dim: int
     base: Perm
     inner: Chart | None
-    kind: str | None
-    arg: Perm | int | None
+    step: tuple
+
+    @property
+    def kind(self) -> str | None:
+        return self.step[0]
+
+    @property
+    def arg(self) -> Perm | int | None:
+        return self.step[1]
 
     def links(self) -> Iterator[Chart]:
         """The charts of the steps from the outside in, without the base."""
@@ -199,24 +208,29 @@ class Chart:
     def shape(self) -> str:
         """The steps from the outside in, e.g. ``peel(2,1,3) -> extend(s2) -> base``.
 
-        Each step's text comes from ``_step_label``, so a census formats
-        each distinct step once, not once for every chart that walks it.
+        Each step record carries its text, so a census formats each distinct
+        step once, not once for every chart that walks it.
         """
         parts = []
         chart = self
-        while chart.inner is not None:
-            parts.append(_step_label(chart.kind, chart.arg))
+        while chart is not None:
+            parts.append(chart.step[2])
             chart = chart.inner
-        parts.append("base")
         return " -> ".join(parts)
 
 
-# one label per peel by a permutation of rank at most the bound, and one per
-# extend letter s_1 .. s_{bound-1}
-@lru_cache(maxsize=weyl.PERMS_UNDER_RANK_BOUND + weyl.MAX_RANK - 1)
-def _step_label(kind: str, arg: Perm | int) -> str:
-    """The text of one chart step: ``peel(2,1,3)`` or ``extend(s2)``."""
-    return f"peel({weyl.perm_to_str(arg)})" if kind == "peel" else f"extend(s{arg})"
+# one record per peel by a permutation of rank at most the bound, one per
+# extend letter s_1 .. s_{bound-1}, and the base's
+@lru_cache(maxsize=weyl.PERMS_UNDER_RANK_BOUND + weyl.MAX_RANK)
+def _step(kind: str | None, arg: Perm | int | None) -> tuple:
+    """The one record ``(kind, arg, label)`` of a chart step, shared by every
+    chart that takes it; the label is ``peel(2,1,3)``, ``extend(s2)`` or
+    ``base``.  A label holds only ``[a-z0-9(),]``, which JSON quotes as
+    they are."""
+    if kind is None:
+        return None, None, "base"
+    label = f"peel({weyl.perm_to_str(arg)})" if kind == "peel" else f"extend(s{arg})"
+    return kind, arg, label
 
 
 @lru_cache(maxsize=weyl.PERMS_UNDER_RANK_BOUND)
@@ -250,15 +264,15 @@ def _chart_step(w: Perm, wp: Perm, chart_of: Callable[[Perm, Perm], Chart]) -> C
     ``NotComparable`` unless w <= w'."""
     w, wp = _shared(w), _shared(wp)
     if w == wp:
-        return Chart(CellIndex(w, wp), 0, w, None, None, None)
+        return Chart(CellIndex(w, wp), 0, w, None, _step(None, None))
     v, wv, wpv = weyl.peel(w, wp)
     index = CellIndex(w, wp)
     if wv != w:  # v is not the identity
         inner = chart_of(_shared(wv), _shared(wpv))
-        return Chart(index, inner.dim, inner.base, inner, "peel", _shared(v))
+        return Chart(index, inner.dim, inner.base, inner, _step("peel", _shared(v)))
     i = weyl.find_descent_pair(w, wp)
     inner = chart_of(w, _shared(weyl.right_mult_simple(wp, i)))
-    return Chart(index, inner.dim + 1, inner.base, inner, "extend", i)
+    return Chart(index, inner.dim + 1, inner.base, inner, _step("extend", i))
 
 
 @lru_cache(maxsize=weyl.PAIRS_UNDER_RANK_BOUND)

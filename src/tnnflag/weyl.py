@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -150,17 +149,31 @@ def bruhat_leq(u: Perm, w: Perm) -> bool:
     #{i <= k : u(i) >= j} <= #{i <= k : w(i) >= j} holds for every j exactly
     when sorted(u[:k]) <= sorted(w[:k]) entrywise (the tableau criterion,
     Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 2).  The sorted
-    prefixes of each permutation are computed once, as one flat key.
+    prefixes of each permutation are packed once into one int
+    (``_prefix_key``), so the entrywise test is one subtraction: with the
+    guard bits G set above w's fields, a field of u larger than w's clears
+    its guard, and no field borrows from the next.
     """
     if len(u) != len(w):
         raise RankMismatch(f"ranks differ: {len(u)} vs {len(w)}")
-    return all(map(operator.le, _prefix_key(u), _prefix_key(w)))
+    kw, guards = _prefix_key(w)
+    return ((kw | guards) - _prefix_key(u)[0]) & guards == guards
 
 
 @lru_cache(maxsize=PERMS_UNDER_RANK_BOUND)
-def _prefix_key(w: Perm) -> tuple[int, ...]:
-    """sorted(w[:k]) for k = 1..n-1, concatenated."""
-    return tuple(x for k in range(1, len(w)) for x in sorted(w[:k]))
+def _prefix_key(w: Perm) -> tuple[int, int]:
+    """sorted(w[:k]) for k = 1..n-1, concatenated and packed into one int
+    with the first entry lowest, and the mask of the guard bits, one above
+    each field.  A field is ``n.bit_length() + 1`` bits wide, so it holds any
+    entry 1..n below its guard bit, and a guard minus n is still positive."""
+    width = len(w).bit_length() + 1
+    key = guards = shift = 0
+    for k in range(1, len(w)):
+        for x in sorted(w[:k]):
+            key |= x << shift
+            guards |= 1 << (shift + width - 1)
+            shift += width
+    return key, guards
 
 
 def all_perms(n: int) -> list[Perm]:

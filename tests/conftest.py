@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from operator import le
 
 import pytest
 
@@ -136,6 +137,17 @@ def subword_leq(u, w):
             if weyl.word_to_perm(n, [word[p] for p in positions]) == u:
                 return True
     return False
+
+
+def ref_prefix_key(w):
+    """sorted(w[:k]) for k = 1..n-1, concatenated, as one flat tuple."""
+    return tuple(x for k in range(1, len(w)) for x in sorted(w[:k]))
+
+
+def ref_bruhat_leq(u, w):
+    """The tableau criterion unpacked: every entry of u's sorted prefixes is
+    at most the matching entry of w's."""
+    return all(map(le, ref_prefix_key(u), ref_prefix_key(w)))
 
 
 def ref_peel(w, wp):

@@ -120,6 +120,14 @@ class TestIsTnnLower:
             audit.is_tnn_lower(u)
         assert tables == us
 
+    def test_rank_bound(self):
+        # level k holds C(n, k)^2 minors, so an unbounded n = 16 would not finish
+        for n in (weyl.MAX_RANK + 1, 16):
+            with pytest.raises(RankTooLarge):
+                audit.is_tnn_lower(identity_mat(n))
+            with pytest.raises(RankTooLarge):
+                semigroup_cell_of(identity_mat(n))
+
     def test_negative_table_entry_is_a_failure(self, monkeypatch):
         # fault injection: one minor of the last level reads negative
         build = linalg.integer_minors
@@ -205,6 +213,12 @@ class TestSampleCount:
         # before the rank bound, as the CLI reports it
         with pytest.raises(ValueError):
             audit_fn(6, -1, 0)
+
+    @pytest.mark.parametrize("audit_fn", [audit_decomposition, audit_semigroup])
+    @pytest.mark.parametrize("n", [-1, 0])
+    def test_rank_below_one_rejected(self, audit_fn, n):
+        with pytest.raises(ValueError):
+            audit_fn(n, 1, 0)
 
     def test_zero_samples_run_no_sample(self):
         assert audit_semigroup(2, 0, 0).samples_total == 0

@@ -5,10 +5,10 @@ import pytest
 
 from conftest import (
     cell_point, codim_check, leibniz_det, rand_params, rand_rat, random_sl,
-    rank_relative_position, ref_mat_mul, sparse_sl,
+    rank_relative_position, ref_bruhat_leq, ref_mat_mul, sparse_sl,
 )
 from tnnflag import flag, linalg, richardson, weyl
-from tnnflag.errors import Singular
+from tnnflag.errors import InternalInconsistency, Singular
 from tnnflag.flag import (
     act, b_minus, b_plus, borel_from, relative_position, stratum,
 )
@@ -246,6 +246,17 @@ class TestStratum:
                     weyl.multiply(w0, rank_relative_position(b_plus(n), b)),
                     rank_relative_position(b_minus(n), b))
                 assert stratum(b) == expected
+
+
+class TestCellIndex:
+    def test_incomparable_pair_raises(self):
+        perms = weyl.all_perms(4)
+        pairs = [(u, w) for u in perms for w in perms]
+        incomparable = [(u, w) for u, w in pairs if not ref_bruhat_leq(u, w)]
+        assert len(incomparable) == len(pairs) - len(weyl.bruhat_pairs(4))
+        for u, w in incomparable:
+            with pytest.raises(InternalInconsistency):
+                flag.CellIndex(u, w)
 
 
 class TestCodim:

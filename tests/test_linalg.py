@@ -13,7 +13,8 @@ from conftest import (
 )
 from tnnflag import flag, linalg, richardson, weyl
 from tnnflag.errors import (
-    IndexOutOfRange, InternalInconsistency, NotInBigCell, ShapeMismatch, Singular,
+    IndexOutOfRange, InternalInconsistency, NotInBigCell, RankTooLarge, ShapeMismatch,
+    Singular,
 )
 from tnnflag.flag import act, b_plus, borel_from, relative_position, stratum
 from tnnflag.linalg import (
@@ -834,6 +835,19 @@ class TestDet:
                     assert Rat(value, scale) == leibniz_det(sub), (g, rows, cols)
                 seen += len(level)
             assert seen == math.comb(2 * n, n) - 1
+
+    def test_table_holds_to_the_rank_bound(self, monkeypatch):
+        # refused before any column is cleared, so no level is built
+        def refuse(g):
+            raise AssertionError("columns cleared above the rank bound")
+
+        monkeypatch.setattr(linalg, "_clear_columns", refuse)
+        for n in (weyl.MAX_RANK + 1, 16):
+            with pytest.raises(RankTooLarge):
+                linalg.integer_minors(identity_mat(n))
+        monkeypatch.undo()
+        _, levels = linalg.integer_minors(identity_mat(weyl.MAX_RANK))
+        assert len(list(levels)) == weyl.MAX_RANK
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_table_top_is_the_signed_pivot_product(self, n):

@@ -523,6 +523,7 @@ class TestChartLinks:
         # rebuilt from empty caches, so that every chart is built here
         build_chart.cache_clear()
         richardson._shared.cache_clear()
+        richardson._step.cache_clear()
         objects = {}
         for n in (2, 3, 4, 5):
             for w, wp in weyl.bruhat_pairs(n):
@@ -535,6 +536,25 @@ class TestChartLinks:
                     for p in stored:
                         assert objects.setdefault(p, p) is p
                     link = link.inner
+
+    def test_step_records_are_shared(self):
+        for n in (2, 3, 4):
+            for w, wp in weyl.bruhat_pairs(n):
+                for link in build_chart(w, wp).links():
+                    assert link.step is richardson._step(link.kind, link.arg)
+        base = build_chart(weyl.identity(3), weyl.identity(3))
+        assert (base.step, base.shape()) == ((None, None, "base"), "base")
+
+    def test_labels_need_no_json_escape(self):
+        # cmd_cells quotes each shape as it is, with no json.dumps
+        labels = [richardson._step("extend", i)[2] for i in range(1, 6)]
+        labels.append(richardson._step(None, None)[2])
+        for n in range(1, weyl.MAX_RANK + 1):
+            labels += [richardson._step("peel", v)[2] for v in weyl.all_perms(n)]
+        assert len(labels) == 5 + 1 + weyl.PERMS_UNDER_RANK_BOUND
+        for label in labels:
+            assert json.dumps(label) == f'"{label}"', label
+        assert json.dumps(" -> ") == '" -> "'
 
     def test_incomparable_pairs_raise(self):
         perms = weyl.all_perms(3)

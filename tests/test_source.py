@@ -72,7 +72,7 @@ def test_fraction_is_the_rational_type():
 CACHED = {
     "richardson.base_point", "richardson.build_chart",
     "richardson.conjugator_word", "richardson._shared",
-    "richardson._step_label",
+    "richardson._step",
     "weyl._prefix_key", "weyl._upper_intervals", "weyl.bruhat_pairs",
     "weyl.perm_to_str",
 }

@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from conftest import dominance_table, ref_peel, subword_leq
+from conftest import dominance_table, ref_bruhat_leq, ref_peel, subword_leq
 from tnnflag import weyl
 from tnnflag.errors import NoDescentPair, NotComparable, RankMismatch, RankTooLarge
 
@@ -115,6 +116,38 @@ class TestBruhatOrder:
             for w in perms:
                 expected = all(a <= b for a, b in zip(tables[u], tables[w]))
                 assert weyl.bruhat_leq(u, w) == expected, (u, w)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_packed_key_matches_the_unpacked_criterion(self, n):
+        perms = weyl.all_perms(n)
+        for u in perms:
+            for w in perms:
+                assert weyl.bruhat_leq(u, w) == ref_bruhat_leq(u, w), (u, w)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_packed_key_matches_on_random_pairs(self, n):
+        # fields are 4 bits wide for n = 4..7 and 5 bits from n = 8; each
+        # u is the Demazure product of a subword of w, so u <= w
+        rng = random.Random(70 + n)
+        verdicts = set()
+        for _ in range(300):
+            w = tuple(rng.sample(range(1, n + 1), n))
+            u = weyl.demazure_product(
+                n, [i for i in weyl.reduced_word(w) if rng.random() < 0.7])
+            other = tuple(rng.sample(range(1, n + 1), n))
+            assert weyl.bruhat_leq(u, w)
+            for a, b in ((u, w), (w, u), (other, w)):
+                verdicts.add(weyl.bruhat_leq(a, b))
+                assert weyl.bruhat_leq(a, b) == ref_bruhat_leq(a, b), (a, b)
+        assert verdicts == {True, False}
+
+    def test_rank_mismatch(self):
+        for u, w in ((s(2, 1), s(3, 1)), (weyl.identity(3), weyl.identity(4)),
+                     ((), (1,))):
+            with pytest.raises(RankMismatch):
+                weyl.bruhat_leq(u, w)
+            with pytest.raises(RankMismatch):
+                weyl.bruhat_leq(w, u)
 
     def test_antisymmetric(self):
         for u in weyl.all_perms(3):

@@ -9,6 +9,10 @@ walks through the combinatorial vocabulary first.  Run it with
 from tnnflag import weyl
 
 
+def word_str(word) -> str:
+    return "[" + ",".join(map(str, word)) + "]"
+
+
 def main() -> None:
     n = 3
     w0 = weyl.longest_element(n)
@@ -19,7 +23,7 @@ def main() -> None:
     for w in weyl.all_perms(n):
         word = weyl.reduced_word(w)
         print(f"  {weyl.perm_to_str(w):7s}  length {weyl.length(w)}  "
-              f"reduced word {weyl.word_to_str(word)}")
+              f"reduced word {word_str(word)}")
 
     print("\nBruhat-comparable pairs (u <= w):")
     pairs = weyl.bruhat_pairs(n)
@@ -32,7 +36,7 @@ def main() -> None:
     v, uv, wv = weyl.peel(u, w)
     print(f"\npeel({weyl.perm_to_str(u)}, {weyl.perm_to_str(w)}): "
           f"common suffix v = {weyl.perm_to_str(v)} "
-          f"with word {weyl.word_to_str(weyl.reduced_word(v))}")
+          f"with word {word_str(weyl.reduced_word(v))}")
     print(f"  transports the pair to ({weyl.perm_to_str(uv)}, {weyl.perm_to_str(wv)})")
 
 

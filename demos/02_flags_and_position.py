@@ -11,8 +11,8 @@ the whole variety.  Run with
 import random
 
 from tnnflag import weyl
-from tnnflag.flag import act, b_minus, b_plus, borel_from, relative_position, stratum
-from tnnflag.linalg import Rat, gen_x, gen_y, mat_mul, rep_weyl
+from tnnflag.flag import borel_from, relative_position, stratum
+from tnnflag.linalg import Rat, identity_mat, mat_mul, mul_x, rep_weyl, y_product
 
 
 def show(label, b):
@@ -25,27 +25,30 @@ def show(label, b):
 
 def main() -> None:
     n = 3
+    # B^+ is the coset of the identity, B^- that of the representative of w0
+    standard = borel_from(identity_mat(n))
     print("The two standard flags:")
-    show("B^+", b_plus(n))
-    show("B^-", b_minus(n))
+    show("B^+", standard)
+    show("B^-", borel_from(rep_weyl(weyl.longest_element(n))))
 
     print("\nTranslates w . B^+ have relative position w from B^+:")
     for w in weyl.all_perms(n):
         b = borel_from(rep_weyl(w))
-        pos = relative_position(b_plus(n), b)
+        pos = relative_position(standard, b)
         assert pos == w
         print(f"  w = {weyl.perm_to_str(w)}  ->  position {weyl.perm_to_str(pos)}")
 
     print("\nA generic point lands in the open stratum:")
     rng = random.Random(0)
-    g = mat_mul(gen_y(n, 1, Rat(2)), gen_y(n, 2, Rat(3)))
-    g = mat_mul(g, gen_x(n, 1, Rat(rng.randint(1, 5))))
-    g = mat_mul(g, gen_y(n, 1, Rat(1, 2)))
+    g = y_product(n, (1, 2), (Rat(2), Rat(3)))
+    g = mul_x(g, 1, Rat(rng.randint(1, 5)))
+    g = mat_mul(g, y_product(n, (1,), (Rat(1, 2),)))
     show("g . B^+", borel_from(g))
 
     print("\nActing by an upper-triangular element keeps the coset fixed:")
-    b = borel_from(g)
-    assert act(gen_x(n, 2, Rat(7)), b_plus(n)) == b_plus(n)
+    # g . b is the coset of g * b.rep
+    x = mul_x(identity_mat(n), 2, Rat(7))
+    assert borel_from(mat_mul(x, standard.rep)) == standard
     print("  x_2(7) . B^+ == B^+  (canonical reps are equal)")
 
 

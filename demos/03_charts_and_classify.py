@@ -11,8 +11,8 @@ exactly the nonnegative part.  Run with
 import json
 
 from tnnflag import weyl
-from tnnflag.flag import act
-from tnnflag.linalg import Rat, gen_y
+from tnnflag.flag import borel_from
+from tnnflag.linalg import Rat, y_mul
 from tnnflag.richardson import build_chart, classify, eval_chart, invert_chart
 
 
@@ -44,7 +44,7 @@ def main() -> None:
 
     # the nonnegative part is stable under conjugation by positive
     # lower-triangular one-parameter subgroups
-    moved = act(gen_y(n, 1, Rat(5)), b)
+    moved = borel_from(y_mul((1,), (Rat(5),), b.rep))
     print("\nafter acting by y_1(5):",
           "still nonnegative" if classify(moved).nonneg else "left the set")
 

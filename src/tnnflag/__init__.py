@@ -7,8 +7,8 @@ verdict obtained by inverting the chart.
 """
 
 from . import audit, errors, flag, linalg, richardson, weyl
-from .flag import BorelPt, CellIndex, act, b_minus, b_plus, borel_from, stratum
-from .linalg import Rat, gen_x, gen_y, rep_simple, rep_weyl
+from .flag import BorelPt, CellIndex, borel_from, stratum
+from .linalg import Rat, rep_weyl
 from .richardson import (
     Chart, ClassifyResult, build_chart, classify, eval_chart, invert_chart,
 )
@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "audit", "errors", "flag", "linalg", "richardson", "weyl",
-    "BorelPt", "CellIndex", "act", "b_minus", "b_plus", "borel_from",
-    "stratum", "Rat", "gen_x", "gen_y", "rep_simple", "rep_weyl",
+    "BorelPt", "CellIndex", "borel_from", "stratum", "Rat", "rep_weyl",
     "Chart", "ClassifyResult", "build_chart", "classify", "eval_chart",
     "invert_chart", "__version__",
 ]

@@ -101,12 +101,17 @@ def _in_semigroup_cell(u: Mat, w: Perm) -> bool:
         return False
 
 
-def audit_decomposition(n: int, samples: int, seed: int) -> AuditReport:
-    """Census plus sampling audit of the cell decomposition."""
+def _check_arguments(n: int, samples: int) -> None:
+    """The checks both audits make first, before their own rank bounds."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
+
+
+def audit_decomposition(n: int, samples: int, seed: int) -> AuditReport:
+    """Census plus sampling audit of the cell decomposition."""
+    _check_arguments(n, samples)
     if n > 4:
         raise RankTooLarge(f"n={n} exceeds the audit rank bound")
     report = AuditReport(n=n, seed=seed)
@@ -161,10 +166,7 @@ def audit_decomposition(n: int, samples: int, seed: int) -> AuditReport:
 
 def audit_semigroup(n: int, samples: int, seed: int) -> AuditReport:
     """Minor-nonnegativity and cell-recovery audit of the TNN semigroup."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
+    _check_arguments(n, samples)
     if n > 5:
         raise RankTooLarge(f"semigroup audit supports n <= 5, got n={n}")
     report = AuditReport(n=n, seed=seed)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from . import linalg, weyl
 from .errors import InternalInconsistency, Singular
-from .linalg import Mat, column_echelon, mat_inv, mat_mul, rep_weyl, weyl_mul
+from .linalg import Mat, column_echelon, mat_inv, mat_mul, weyl_mul
 from .weyl import Perm
 
 
@@ -66,19 +66,6 @@ def borel_from(g: Mat) -> BorelPt:
     return BorelPt(c, w)
 
 
-def b_plus(n: int) -> BorelPt:
-    return borel_from(linalg.identity_mat(n))
-
-
-def b_minus(n: int) -> BorelPt:
-    return borel_from(rep_weyl(weyl.longest_element(n)))
-
-
-def act(g: Mat, b: BorelPt) -> BorelPt:
-    """Conjugation action on Borels: the coset (g * rep) * B^+."""
-    return borel_from(mat_mul(g, b.rep))
-
-
 def relative_position(b1: BorelPt, b2: BorelPt) -> Perm:
     """The unique w with b1 --w--> b2: rep1^{-1} * rep2 lies in B^+ w B^+."""
     return linalg.bruhat_cell(mat_mul(mat_inv(b1.rep), b2.rep))
@@ -96,9 +83,6 @@ class CellIndex:
             raise InternalInconsistency(
                 f"stratum index violates Bruhat order: {self.w} vs {self.wp}"
             )
-
-    def dim(self) -> int:
-        return weyl.length(self.wp) - weyl.length(self.w)
 
     def to_json(self) -> dict:
         return {"w": weyl.perm_to_str(self.w), "wp": weyl.perm_to_str(self.wp)}

@@ -20,12 +20,12 @@ column, eliminates on Python ints by cross-multiplication with content
 removal, and proves its result in integers before it converts c back to
 rationals.  That proof is the reconstruction check of the Bruhat
 factorization as well.  ``det`` reads its pivot product and
-``bruhat_cell`` its pivots without rebuilding c, so every nonzero minor
-and every Bruhat cell carries the proof; a singular verdict, and so a
-zero minor, carries a proved integer kernel vector instead.  To read
-every square minor at once, ``integer_minors`` expands them all by
-Laplace on the same cleared integer columns, the definition of the
-determinant, with no elimination.
+``bruhat_cell`` its pivots without rebuilding c, so every nonzero
+determinant and every Bruhat cell carries the proof; a singular verdict,
+and so a zero determinant, carries a proved integer kernel vector
+instead.  To read every square minor at once, ``integer_minors`` expands
+them all by Laplace on the same cleared integer columns, the definition
+of the determinant, with no elimination.
 """
 
 from __future__ import annotations
@@ -136,21 +136,6 @@ def mat_inv(a: Mat) -> Mat:
     return tuple(tuple(row[n:]) for row in m)
 
 
-def minor(m: Mat, rows: Iterable[int], cols: Iterable[int]) -> "Rat":
-    """Determinant of the submatrix on 1-based row/column index sets,
-    checked first: IndexOutOfRange outside 1..n, ShapeMismatch for a
-    repeated index or sets of different sizes."""
-    rows, cols = sorted(rows), sorted(cols)
-    if len(rows) != len(cols) or not rows:
-        raise ShapeMismatch("row and column sets must be nonempty and equal-sized")
-    for index in (rows, cols):
-        if index[0] < 1 or index[-1] > len(m):
-            raise IndexOutOfRange(f"index set {index} not in 1..{len(m)}")
-        if len(set(index)) != len(index):
-            raise ShapeMismatch(f"index set {index} repeats an index")
-    return det(tuple(tuple(m[i - 1][j - 1] for j in cols) for i in rows))
-
-
 def is_upper_triangular(m: Mat) -> bool:
     return all(m[i][j] == 0 for i in range(len(m)) for j in range(i))
 
@@ -168,22 +153,12 @@ def _check_index(n: int, i: int) -> None:
         raise IndexOutOfRange(f"index {i} not in 1..{n - 1}")
 
 
-def gen_x(n: int, i: int, a) -> Mat:
-    """x_i(a): identity plus a in entry (i, i+1)."""
-    return mul_x(identity_mat(n), i, rat(a))
-
-
 def mul_x(m: Mat, i: int, a) -> Mat:
     """m * x_i(a) with no product: m with a times column i added to column i+1."""
     _check_index(len(m), i)
     return tuple(
         row[:i] + (row[i] + a * row[i - 1] if row[i - 1] else row[i],) + row[i + 1:]
         for row in m)
-
-
-def gen_y(n: int, i: int, a) -> Mat:
-    """y_i(a): identity plus a in entry (i+1, i); the transpose of x_i(a)."""
-    return y_mul((i,), (rat(a),), identity_mat(n))
 
 
 def y_mul(letters: Sequence[int], params: Sequence, m: Mat) -> Mat:
@@ -197,12 +172,6 @@ def y_mul(letters: Sequence[int], params: Sequence, m: Mat) -> Mat:
         _check_index(len(rows), i)
         rows[i] = tuple(y + a * x if x else y for x, y in zip(rows[i - 1], rows[i]))
     return tuple(rows)
-
-
-def rep_simple(n: int, i: int) -> Mat:
-    """Pinned representative of s_i: y_i(1) x_i(-1) y_i(1), the block [[0,-1],[1,0]]."""
-    _check_index(n, i)
-    return mat_mul(mat_mul(gen_y(n, i, 1), gen_x(n, i, -1)), gen_y(n, i, 1))
 
 
 def weyl_mul(w: Perm, m: Mat, *, right: bool = False) -> Mat:
@@ -231,8 +200,9 @@ def weyl_mul(w: Perm, m: Mat, *, right: bool = False) -> Mat:
 def rep_weyl(w: Perm) -> Mat:
     """Representative of w: ``weyl_mul`` applied to the identity.
 
-    This is the product of rep_simple along any reduced word of w: the
-    pinned representatives satisfy the braid relations.
+    This is the product of the pinned representatives y_i(1) x_i(-1) y_i(1)
+    of the simple reflections along any reduced word of w: they satisfy the
+    braid relations.
     """
     return weyl_mul(w, identity_mat(len(w)))
 

@@ -177,7 +177,10 @@ def _prefix_key(w: Perm) -> tuple[int, int]:
 
 
 def all_perms(n: int) -> list[Perm]:
-    """All of S_n in the deterministic order (length, one-line notation)."""
+    """All of S_n in the deterministic order (length, one-line notation);
+    RankTooLarge above the rank bound, before any of the n! is built."""
+    if n > MAX_RANK:
+        raise RankTooLarge(f"n={n} exceeds the rank bound {MAX_RANK}")
     return sorted(itertools.permutations(range(1, n + 1)), key=lambda p: (length(p), p))
 
 
@@ -201,9 +204,7 @@ def _upper_intervals(n: int) -> tuple[tuple[Perm, ...], tuple[int, ...]]:
     """``all_perms(n)`` and the upper interval [u, w0] of each u in it, as a
     bitset over that list: u and the intervals of the covers of u, which come
     later in ``all_perms``, so a backward walk builds every interval without
-    testing all (n!)^2 pairs."""
-    if n > MAX_RANK:
-        raise RankTooLarge(f"n={n} exceeds the rank bound {MAX_RANK}")
+    testing all (n!)^2 pairs.  ``all_perms`` holds n to the rank bound."""
     perms = all_perms(n)
     position = {w: k for k, w in enumerate(perms)}
     upper = [0] * len(perms)
@@ -279,8 +280,3 @@ def perm_to_str(w: Perm) -> str:
 
 def perm_from_str(s: str) -> Perm:
     return validate_perm([int(part) for part in s.split(",")])
-
-
-def word_to_str(word: Word) -> str:
-    return "[" + ",".join(str(i) for i in word) + "]"
-

@@ -10,10 +10,8 @@ from tnnflag.errors import (
     InternalInconsistency, LengthNotAdditive, NotComparable, ParamCountMismatch,
     ShapeMismatch, Singular, TnnError, WrongCell,
 )
-from tnnflag.flag import CellIndex, act, b_minus, b_plus, borel_from, stratum
-from tnnflag.linalg import (
-    Rat, gen_x, gen_y, mat_mul, identity_mat, rep_simple, rep_weyl, y_product,
-)
+from tnnflag.flag import CellIndex, borel_from, stratum
+from tnnflag.linalg import Rat, identity_mat, mat_mul, mul_x, rep_weyl, y_product
 from tnnflag.richardson import ClassifyResult, build_chart, eval_chart, invert_chart
 
 
@@ -39,8 +37,8 @@ def random_sl(n: int, rng: random.Random):
     g = identity_mat(n)
     for _ in range(rng.randint(3, 8)):
         i = rng.randint(1, n - 1)
-        gen = gen_x if rng.random() < 0.5 else gen_y
-        g = mat_mul(g, gen(n, i, rand_rat(rng)))
+        product = x_product if rng.random() < 0.5 else y_product
+        g = mat_mul(g, product(n, (i,), (rand_rat(rng),)))
     return g
 
 
@@ -247,8 +245,16 @@ def x_product(n, letters, params):
         raise ShapeMismatch("letters and parameters differ in count")
     rows = identity_mat(n)
     for i, a in zip(letters, params):
-        rows = mat_mul(rows, gen_x(n, i, a))
+        rows = mul_x(rows, i, Rat(a))
     return rows
+
+
+def ref_rep_simple(n, i):
+    """The pinned representative of s_i as the product y_i(1) x_i(-1) y_i(1),
+    the block [[0, -1], [1, 0]] at rows and columns i, i+1: the reference
+    for linalg.rep_weyl's closed form."""
+    y = y_product(n, (i,), (1,))
+    return mat_mul(mat_mul(y, x_product(n, (i,), (-1,))), y)
 
 
 def ref_y_mul(letters, params, m):
@@ -272,7 +278,7 @@ def key_chart_upper(wp):
     def evaluate(params):
         if len(params) != len(word):
             raise ParamCountMismatch(f"expected {len(word)} parameters")
-        return act(x_product(n, word, params), b_minus(n))
+        return borel_from(mat_mul(x_product(n, word, params), rep_weyl(w0)))
 
     return word, evaluate
 
@@ -286,7 +292,7 @@ def key_chart_lower(w):
     def evaluate(params):
         if len(params) != len(word):
             raise ParamCountMismatch(f"expected {len(word)} parameters")
-        return act(y_product(n, word, params), b_plus(n))
+        return borel_from(y_product(n, word, params))
 
     return word, evaluate
 
@@ -294,7 +300,7 @@ def key_chart_lower(w):
 def codim_check(b):
     """(l(w), l(w') - l(w)) for the stratum of b; the second is the local dimension."""
     idx = stratum(b)
-    return weyl.length(idx.w), idx.dim()
+    return weyl.length(idx.w), weyl.length(idx.wp) - weyl.length(idx.w)
 
 
 def dominance_table(w):
@@ -317,6 +323,16 @@ def leibniz_det(rows):
             term *= rows[r][c]
         total += term
     return total
+
+
+def submatrix(m, rows, cols):
+    """The rows and columns of m on 1-based index sets, in increasing order."""
+    return tuple(tuple(m[i - 1][j - 1] for j in sorted(cols)) for i in sorted(rows))
+
+
+def leibniz_minor(m, rows, cols):
+    """The minor of m on 1-based row and column index sets, as a Leibniz sum."""
+    return leibniz_det(submatrix(m, rows, cols))
 
 
 def ref_is_tnn(m):
@@ -376,11 +392,11 @@ def marsh_rietsch_point(v, w, t):
     """The flag g * B^+ of the Marsh-Rietsch parametrization of R_{v,w}
     (arXiv:math/0307017), built with no chart and no recursion.
 
-    g is a product along weyl.reduced_word(w): rep_simple(i) at the letters
-    of the positive distinguished subexpression for v, and y_i(t_k) at the
-    others, in order.  The subexpression is read right to left: a letter is
-    used when s_i is a right descent of what is left of v, and the walk ends
-    at the identity.  Positive t give the totally positive part.
+    g is a product along weyl.reduced_word(w): ref_rep_simple(n, i) at the
+    letters of the positive distinguished subexpression for v, and y_i(t_k)
+    at the others, in order.  The subexpression is read right to left: a
+    letter is used when s_i is a right descent of what is left of v, and the
+    walk ends at the identity.  Positive t give the totally positive part.
     """
     n = len(w)
     word = weyl.reduced_word(w)
@@ -395,7 +411,8 @@ def marsh_rietsch_point(v, w, t):
     params = iter(t)
     g = identity_mat(n)
     for i, in_v in zip(word, used):
-        g = mat_mul(g, rep_simple(n, i) if in_v else gen_y(n, i, next(params)))
+        g = mat_mul(g, ref_rep_simple(n, i) if in_v
+                    else y_product(n, (i,), (next(params),)))
     return borel_from(g)
 
 

@@ -10,11 +10,13 @@ import random
 
 import pytest
 
-from conftest import chart_value, rand_params, rand_rat, report_text, subword_leq
+from conftest import (
+    chart_value, leibniz_minor, rand_params, rand_rat, report_text, subword_leq,
+)
 from tnnflag import audit, linalg, richardson, weyl
 from tnnflag.audit import audit_decomposition, audit_semigroup
-from tnnflag.flag import CellIndex, act, b_plus, borel_from, stratum
-from tnnflag.linalg import Rat, minor, rep_weyl, y_product
+from tnnflag.flag import CellIndex, borel_from, stratum
+from tnnflag.linalg import Rat, mat_mul, rep_weyl, y_product
 from tnnflag.richardson import (
     base_point, build_chart, classify, conjugator_word, eval_chart,
     invert_chart, pi, psi, phi_down,
@@ -126,7 +128,8 @@ def test_criterion_05_equivariance_and_diagram():
             chart = build_chart(w, wpv)
             b = eval_chart(chart, rand_params(rng, chart.dim, positive=True))
             y = _positive_y(n, w, rng)
-            assert phi_down(u, v, act(y, b)) == act(y, phi_down(u, v, b))
+            assert phi_down(u, v, borel_from(mat_mul(y, b.rep))) == \
+                borel_from(mat_mul(y, phi_down(u, v, b).rep))
             cases += 1
         # commuting square: pi(psi(B, a)) = B, both signs of a
         cases = 0
@@ -206,12 +209,12 @@ def test_criterion_08_conjugation_preserves_verdict():
                 params[rng.randrange(chart.dim)] *= -1
                 b = eval_chart(chart, params)
                 assert not classify(b).nonneg
-                assert not classify(act(y, b)).nonneg
+                assert not classify(borel_from(mat_mul(y, b.rep))).nonneg
                 neg_done += 1
             if pos_done < 100:
                 b = eval_chart(chart, rand_params(rng, chart.dim, positive=True))
                 assert classify(b).nonneg
-                assert classify(act(y, b)).nonneg
+                assert classify(borel_from(mat_mul(y, b.rep))).nonneg
                 pos_done += 1
 
     _criterion(8, "y-conjugation preserves both verdicts (100 + 100 points)", body)
@@ -229,7 +232,7 @@ def test_criterion_09_semigroup_cross_oracle():
                     for k in range(1, n + 1):
                         for rows in itertools.combinations(range(1, n + 1), k):
                             for cols in itertools.combinations(range(1, n + 1), k):
-                                assert minor(u, rows, cols) >= 0
+                                assert leibniz_minor(u, rows, cols) >= 0
                     assert audit.semigroup_cell_of(u) == w
 
     _criterion(9, "positive y-products are minor-nonnegative and their cell "

@@ -5,26 +5,23 @@ import pytest
 
 from conftest import (
     cell_point, codim_check, leibniz_det, rand_params, rand_rat, random_sl,
-    rank_relative_position, ref_bruhat_leq, ref_mat_mul, sparse_sl,
+    rank_relative_position, ref_bruhat_leq, ref_mat_mul, sparse_sl, transpose,
 )
 from tnnflag import flag, linalg, richardson, weyl
 from tnnflag.errors import InternalInconsistency, Singular
-from tnnflag.flag import (
-    act, b_minus, b_plus, borel_from, relative_position, stratum,
-)
+from tnnflag.flag import borel_from, relative_position, stratum
 from tnnflag.linalg import (
-    Rat, gen_x, gen_y, identity_mat, mat, mat_from_json, mat_inv, mat_mul,
-    rep_weyl,
+    Rat, identity_mat, mat, mat_from_json, mat_inv, mat_mul, rep_weyl, y_product,
 )
 
 
 class TestBorelFrom:
     def test_identity(self):
-        assert borel_from(identity_mat(3)) == b_plus(3)
+        assert borel_from(identity_mat(3)).rep == identity_mat(3)
 
     def test_upper_triangular_absorbed(self):
         b = mat([[1, 5, Rat(1, 3)], [0, Rat(1, 2), 7], [0, 0, 2]])
-        assert borel_from(b) == b_plus(3)
+        assert borel_from(b) == borel_from(identity_mat(3))
 
     def test_coset_invariance_random(self):
         rng = random.Random(1)
@@ -36,7 +33,7 @@ class TestBorelFrom:
             assert borel_from(g) == borel_from(mat_mul(g, t))
 
     def test_b_minus_sl2(self):
-        assert b_minus(2).rep == mat([[0, -1], [1, 0]])
+        assert borel_from(rep_weyl(weyl.simple(2, 1))).rep == mat([[0, -1], [1, 0]])
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(Singular):
@@ -63,13 +60,14 @@ class TestBorelFrom:
             gs = [random_sl(n, rng) for _ in range(10)]
             gs += [sparse_sl(n, rng) for _ in range(10)]
             gs += [cell_point(rng.choice(weyl.all_perms(n)), rng) for _ in range(10)]
+            origin = borel_from(identity_mat(n))
             for g in gs:
                 b = borel_from(g)
                 assert b.position == linalg.bruhat_factor_plus(g)[1]
-                assert b.position == relative_position(b_plus(n), b)
+                assert b.position == relative_position(origin, b)
 
     def test_position_takes_no_part_in_equality(self):
-        b = borel_from(gen_y(3, 1, 2))
+        b = borel_from(y_product(3, (1,), (2,)))
         other = dataclasses.replace(b, position=weyl.identity(3))
         assert other == b and hash(other) == hash(b)
 
@@ -124,25 +122,35 @@ class TestBorelFromDeterminant:
 
 
 class TestAct:
+    """The action g * b is the coset of g * b.rep, borel_from(mat_mul(g, b.rep))."""
+
     def test_identity(self):
-        b = act(gen_y(2, 1, 3), b_plus(2))
-        assert act(identity_mat(2), b) == b
+        b = borel_from(y_product(2, (1,), (3,)))
+        assert borel_from(mat_mul(identity_mat(2), b.rep)) == b
 
     def test_flag_line(self):
-        b = act(gen_y(2, 1, Rat(5, 2)), b_plus(2))
+        b = borel_from(y_product(2, (1,), (Rat(5, 2),)))
         # the flag line span(1, 5/2), scaled so the bottom pivot is 1
         assert b.rep[0][0] == Rat(2, 5) and b.rep[1][0] == 1
 
     def test_w0_gives_b_minus(self):
+        # w0 * B^+ is B^-, the Borel that lower triangular matrices fix
+        rng = random.Random(12)
         for n in (2, 3):
-            assert act(rep_weyl(weyl.longest_element(n)), b_plus(n)) == b_minus(n)
+            b_minus = borel_from(rep_weyl(weyl.longest_element(n)))
+            for _ in range(5):
+                t = transpose(mat([[rand_rat(rng) if j > i else int(i == j)
+                                    for j in range(n)] for i in range(n)]))
+                assert borel_from(mat_mul(t, b_minus.rep)) == b_minus
 
     def test_action_compatible(self):
         rng = random.Random(3)
         for _ in range(20):
             g, h = random_sl(3, rng), random_sl(3, rng)
             b = borel_from(random_sl(3, rng))
-            assert act(g, act(h, b)) == act(mat_mul(g, h), b)
+            hb = borel_from(mat_mul(h, b.rep))
+            assert borel_from(mat_mul(g, hb.rep)) == \
+                borel_from(mat_mul(mat_mul(g, h), b.rep))
 
 
 class TestRelativePosition:
@@ -152,18 +160,21 @@ class TestRelativePosition:
 
     def test_opposite(self):
         for n in (2, 3, 4):
-            assert relative_position(b_plus(n), b_minus(n)) == weyl.longest_element(n)
+            w0 = weyl.longest_element(n)
+            b_plus, b_minus = borel_from(identity_mat(n)), borel_from(rep_weyl(w0))
+            assert relative_position(b_plus, b_minus) == w0
 
     def test_sl2_distinct_lines(self):
-        b = act(gen_y(2, 1, 1), b_plus(2))
-        assert relative_position(b_minus(2), b) == weyl.simple(2, 1)
+        b = borel_from(y_product(2, (1,), (1,)))
+        b_minus = borel_from(rep_weyl(weyl.simple(2, 1)))
+        assert relative_position(b_minus, b) == weyl.simple(2, 1)
 
     def test_calibration_exhaustive(self):
         # pins the orientation convention: B^+ --w--> w * B^+
         for n in (2, 3, 4):
+            b_plus = borel_from(identity_mat(n))
             for w in weyl.all_perms(n):
-                b = act(rep_weyl(w), b_plus(n))
-                assert relative_position(b_plus(n), b) == w
+                assert relative_position(b_plus, borel_from(rep_weyl(w))) == w
 
     def test_antisymmetry(self):
         rng = random.Random(5)
@@ -180,8 +191,9 @@ class TestRelativePosition:
                 g = random_sl(n, rng)
                 b1 = borel_from(random_sl(n, rng))
                 b2 = borel_from(random_sl(n, rng))
-                assert relative_position(act(g, b1), act(g, b2)) == \
-                    relative_position(b1, b2)
+                gb1 = borel_from(mat_mul(g, b1.rep))
+                gb2 = borel_from(mat_mul(g, b2.rep))
+                assert relative_position(gb1, gb2) == relative_position(b1, b2)
 
     def test_agrees_with_rank_oracle(self):
         # random flags, and chart images with mixed-sign parameters in
@@ -195,25 +207,27 @@ class TestRelativePosition:
             for w, wp in rng.sample(pairs, min(len(pairs), 8)) + [open_cell]:
                 chart = richardson.build_chart(w, wp)
                 points.append(richardson.eval_chart(chart, rand_params(rng, chart.dim)))
+            b_plus = borel_from(identity_mat(n))
+            b_minus = borel_from(rep_weyl(weyl.longest_element(n)))
             for b in points:
-                for other in (b_plus(n), b_minus(n), borel_from(random_sl(n, rng))):
+                for other in (b_plus, b_minus, borel_from(random_sl(n, rng))):
                     assert relative_position(other, b) == rank_relative_position(other, b)
                     assert relative_position(b, other) == rank_relative_position(b, other)
 
 
 class TestStratum:
     def test_b_plus(self):
-        idx = stratum(b_plus(3))
+        idx = stratum(borel_from(identity_mat(3)))
         w0 = weyl.longest_element(3)
         assert idx.w == w0 and idx.wp == w0
 
     def test_b_minus(self):
-        idx = stratum(b_minus(3))
+        idx = stratum(borel_from(rep_weyl(weyl.longest_element(3))))
         e = weyl.identity(3)
         assert idx.w == e and idx.wp == e
 
     def test_sl2_open(self):
-        idx = stratum(act(gen_y(2, 1, 1), b_plus(2)))
+        idx = stratum(borel_from(y_product(2, (1,), (1,))))
         assert idx.w == weyl.identity(2) and idx.wp == weyl.simple(2, 1)
 
     def test_always_comparable(self):
@@ -229,7 +243,7 @@ class TestStratum:
             t = mat([[2, rand_rat(rng), rand_rat(rng)],
                      [0, Rat(1, 4), rand_rat(rng)],
                      [0, 0, 2]])
-            assert stratum(act(t, b)).w == stratum(b).w
+            assert stratum(borel_from(mat_mul(t, b.rep))).w == stratum(b).w
 
 
     def test_agrees_with_rank_oracle(self):
@@ -241,10 +255,11 @@ class TestStratum:
             for w, wp in rng.sample(weyl.bruhat_pairs(n), 8 if n > 2 else 3):
                 chart = richardson.build_chart(w, wp)
                 points.append(richardson.eval_chart(chart, rand_params(rng, chart.dim)))
+            b_plus, b_minus = borel_from(identity_mat(n)), borel_from(rep_weyl(w0))
             for b in points:
                 expected = flag.CellIndex(
-                    weyl.multiply(w0, rank_relative_position(b_plus(n), b)),
-                    rank_relative_position(b_minus(n), b))
+                    weyl.multiply(w0, rank_relative_position(b_plus, b)),
+                    rank_relative_position(b_minus, b))
                 assert stratum(b) == expected
 
 
@@ -261,16 +276,16 @@ class TestCellIndex:
 
 class TestCodim:
     def test_b_plus(self):
-        assert codim_check(b_plus(3)) == (3, 0)
+        assert codim_check(borel_from(identity_mat(3))) == (3, 0)
 
     def test_b_minus(self):
-        assert codim_check(b_minus(3)) == (0, 0)
+        assert codim_check(borel_from(rep_weyl(weyl.longest_element(3)))) == (0, 0)
 
     def test_sl2_open_cell(self):
-        assert codim_check(act(gen_y(2, 1, 1), b_plus(2))) == (0, 1)
+        assert codim_check(borel_from(y_product(2, (1,), (1,)))) == (0, 1)
 
 
 class TestSerialization:
     def test_roundtrip(self):
-        b = act(gen_y(3, 1, Rat(2, 3)), b_plus(3))
+        b = borel_from(y_product(3, (1,), (Rat(2, 3),)))
         assert borel_from(mat_from_json(b.to_json()["borel_rep"])) == b

@@ -8,55 +8,60 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    cell_point, is_upper_unitriangular, leibniz_det, rand_rat, random_sl,
-    ref_column_echelon, ref_mat_mul, ref_stratum, ref_y_mul, sparse_sl, transpose,
+    cell_point, is_upper_unitriangular, leibniz_det, leibniz_minor, rand_rat,
+    random_sl, ref_column_echelon, ref_mat_mul, ref_rep_simple, ref_stratum,
+    ref_y_mul, sparse_sl, submatrix, transpose, x_product,
 )
 from tnnflag import flag, linalg, richardson, weyl
 from tnnflag.errors import (
     IndexOutOfRange, InternalInconsistency, NotInBigCell, RankTooLarge, ShapeMismatch,
     Singular,
 )
-from tnnflag.flag import act, b_plus, borel_from, relative_position, stratum
+from tnnflag.flag import borel_from, relative_position, stratum
 from tnnflag.linalg import (
-    Rat, bruhat_cell, bruhat_factor_plus, det, gen_x, gen_y, identity_mat, mat,
-    mat_inv, mat_mul, minor, mul_x, opposite_big_cell_factor, rep_simple,
-    rep_weyl, weyl_mul, y_mul, y_product,
+    Rat, bruhat_cell, bruhat_factor_plus, det, identity_mat, mat, mat_inv,
+    mat_mul, mul_x, opposite_big_cell_factor, rep_weyl, weyl_mul, y_mul,
+    y_product,
 )
 
 
 class TestGenerators:
+    """x_i(a) is mul_x on the identity (conftest's x_product), and y_i(a) is
+    y_product of the one letter i."""
+
     def test_gen_x_2(self):
         a = Rat(5, 3)
-        assert gen_x(2, 1, a) == mat([[1, a], [0, 1]])
+        assert x_product(2, (1,), (a,)) == mat([[1, a], [0, 1]])
 
     def test_gen_x_zero(self):
-        assert gen_x(3, 2, 0) == identity_mat(3)
+        assert x_product(3, (2,), (0,)) == identity_mat(3)
 
     def test_gen_x_entry(self):
-        m = gen_x(3, 2, 5)
+        m = x_product(3, (2,), (5,))
         assert m[1][2] == 5 and m == mat([[1, 0, 0], [0, 1, 5], [0, 0, 1]])
 
     def test_gen_x_additive(self):
         a, b = Rat(1, 2), Rat(2, 7)
-        assert mat_mul(gen_x(3, 1, a), gen_x(3, 1, b)) == gen_x(3, 1, a + b)
+        assert mat_mul(x_product(3, (1,), (a,)), x_product(3, (1,), (b,))) == \
+            x_product(3, (1,), (a + b,))
 
     def test_gen_y_2(self):
         a = Rat(4)
-        assert gen_y(2, 1, a) == mat([[1, 0], [a, 1]])
+        assert y_product(2, (1,), (a,)) == mat([[1, 0], [a, 1]])
 
     def test_gen_y_transpose(self):
         a = Rat(3, 7)
-        assert gen_y(3, 2, a) == transpose(gen_x(3, 2, a))
+        assert y_product(3, (2,), (a,)) == transpose(x_product(3, (2,), (a,)))
 
     def test_gen_y_triple_product(self):
-        m = mat_mul(mat_mul(gen_y(3, 1, 2), gen_y(3, 2, 3)), gen_y(3, 1, 5))
+        m = y_product(3, (1, 2, 1), (2, 3, 5))
         assert m == mat([[1, 0, 0], [7, 1, 0], [15, 3, 1]])
 
     def test_index_bounds(self):
         with pytest.raises(IndexOutOfRange):
-            gen_x(3, 3, 1)
+            mul_x(identity_mat(3), 0, 1)
         with pytest.raises(IndexOutOfRange):
-            gen_y(3, 0, 1)
+            y_product(3, (0,), (1,))
         with pytest.raises(IndexOutOfRange):
             mul_x(identity_mat(3), 3, 1)
         with pytest.raises(IndexOutOfRange):
@@ -64,11 +69,8 @@ class TestGenerators:
 
 
 class TestRepresentatives:
-    def test_rep_simple_2(self):
-        assert rep_simple(2, 1) == mat([[0, -1], [1, 0]])
-
     def test_fourth_power(self):
-        r = rep_simple(3, 2)
+        r = rep_weyl(weyl.simple(3, 2))
         m = identity_mat(3)
         for _ in range(4):
             m = mat_mul(m, r)
@@ -76,7 +78,7 @@ class TestRepresentatives:
 
     def test_conjugation_permutes_diagonal(self):
         d = mat([[2, 0, 0], [0, 3, 0], [0, 0, Rat(1, 6)]])
-        r = rep_simple(3, 1)
+        r = rep_weyl(weyl.simple(3, 1))
         c = mat_mul(mat_mul(r, d), mat_inv(r))
         assert [c[i][i] for i in range(3)] == [3, 2, Rat(1, 6)]
 
@@ -87,8 +89,9 @@ class TestRepresentatives:
         assert rep_weyl(weyl.simple(2, 1)) == mat([[0, -1], [1, 0]])
 
     def test_braid_independence_w0_n3(self):
-        via_121 = mat_mul(mat_mul(rep_simple(3, 1), rep_simple(3, 2)), rep_simple(3, 1))
-        via_212 = mat_mul(mat_mul(rep_simple(3, 2), rep_simple(3, 1)), rep_simple(3, 2))
+        s1, s2 = ref_rep_simple(3, 1), ref_rep_simple(3, 2)
+        via_121 = mat_mul(mat_mul(s1, s2), s1)
+        via_212 = mat_mul(mat_mul(s2, s1), s2)
         assert via_121 == via_212 == rep_weyl(weyl.longest_element(3))
 
     def test_braid_independence_exhaustive(self):
@@ -98,7 +101,7 @@ class TestRepresentatives:
                 for word in weyl.all_reduced_words(w):
                     m = identity_mat(n)
                     for i in word:
-                        m = mat_mul(m, rep_simple(n, i))
+                        m = mat_mul(m, ref_rep_simple(n, i))
                     assert m == expected, (w, word)
 
     def test_closed_form_is_the_reduced_word_product(self):
@@ -106,7 +109,7 @@ class TestRepresentatives:
             for w in weyl.all_perms(n):
                 m = identity_mat(n)
                 for i in weyl.reduced_word(w):
-                    m = mat_mul(m, rep_simple(n, i))
+                    m = mat_mul(m, ref_rep_simple(n, i))
                 assert rep_weyl(w) == m, w
                 assert transpose(rep_weyl(w)) == mat_inv(m), w
 
@@ -149,35 +152,18 @@ class TestWeylMul:
 
 
 class TestMinor:
+    """A minor is det of its submatrix."""
+
     def test_identity(self):
-        assert minor(identity_mat(2), [1], [1]) == 1
+        assert det(submatrix(identity_mat(2), [1], [1])) == 1
 
     def test_single_entry(self):
         a = Rat(7, 2)
-        assert minor(gen_y(2, 1, a), [2], [1]) == a
+        assert det(submatrix(y_product(2, (1,), (a,)), [2], [1])) == a
 
     def test_leading_2x2(self):
-        m = mat_mul(mat_mul(gen_y(3, 1, 2), gen_y(3, 2, 3)), gen_y(3, 1, 5))
-        assert minor(m, [1, 2], [1, 2]) == 1
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            minor(identity_mat(2), [1, 2], [1])
-
-    @pytest.mark.parametrize("rows, cols", [
-        ([0], [1]), ([1], [0]), ([4], [1]), ([1], [4]), ([0, 1], [1, 2]),
-    ], ids=["row-0", "column-0", "row-4", "column-4", "row-0-in-a-pair"])
-    def test_index_out_of_range(self, rows, cols):
-        # index 0 would wrap around to row n, index n + 1 past the end
-        m = mat([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-        with pytest.raises(IndexOutOfRange):
-            minor(m, rows, cols)
-
-    @pytest.mark.parametrize("rows, cols", [([1, 1], [1, 2]), ([1, 2], [3, 3])],
-                             ids=["row", "column"])
-    def test_repeated_index(self, rows, cols):
-        with pytest.raises(ShapeMismatch):
-            minor(mat([[1, 2, 3], [4, 5, 6], [7, 8, 10]]), rows, cols)
+        m = y_product(3, (1, 2, 1), (2, 3, 5))
+        assert det(submatrix(m, [1, 2], [1, 2])) == 1
 
 
 class TestBruhatFactor:
@@ -200,7 +186,7 @@ class TestBruhatFactor:
             assert got == w
 
     def test_sl2_lower(self):
-        _, w = bruhat_factor_plus(gen_y(2, 1, 1))
+        _, w = bruhat_factor_plus(y_product(2, (1,), (1,)))
         assert w == weyl.simple(2, 1)
 
     def test_singular(self):
@@ -273,7 +259,7 @@ def _conjugated_chart_image(n, rng):
     chart = richardson.build_chart(w, wp)
     b = richardson.eval_chart(chart, [rand_rat(rng) for _ in range(chart.dim)])
     word = richardson.conjugator_word(w)
-    return act(y_product(n, word, [Rat(1)] * len(word)), b).rep
+    return borel_from(y_mul(word, [Rat(1)] * len(word), b.rep)).rep
 
 
 class TestOppositeBigCell:
@@ -282,8 +268,8 @@ class TestOppositeBigCell:
         assert x == identity_mat(3)
 
     def test_sl2_line(self):
-        x = opposite_big_cell_factor(gen_y(2, 1, 1))
-        assert x == gen_x(2, 1, 1)
+        x = opposite_big_cell_factor(y_product(2, (1,), (1,)))
+        assert x == x_product(2, (1,), (1,))
 
     def test_identity_not_in_big_cell(self):
         with pytest.raises(NotInBigCell):
@@ -313,7 +299,7 @@ class TestOppositeBigCell:
         inputs += [_conjugated_chart_image(n, rng) for _ in range(15)]
         outcomes = set()
         for g in inputs:
-            in_cell = all(minor(g, range(n - k + 1, n + 1), range(1, k + 1)) != 0
+            in_cell = all(leibniz_minor(g, range(n - k + 1, n + 1), range(1, k + 1))
                           for k in range(1, n))
             outcomes.add(in_cell)
             if not in_cell:
@@ -362,7 +348,7 @@ class TestTNNSemigroupMinors:
         for k in range(1, n + 1):
             for rows in itertools.combinations(range(1, n + 1), k):
                 for cols in itertools.combinations(range(1, n + 1), k):
-                    if minor(m, rows, cols) < 0:
+                    if leibniz_minor(m, rows, cols) < 0:
                         return False
         return True
 
@@ -382,7 +368,7 @@ class TestTNNSemigroupMinors:
             k = rng.randint(1, 5)
             rows = rng.sample(range(1, 6), k)
             cols = rng.sample(range(1, 6), k)
-            assert minor(u, rows, cols) >= 0
+            assert leibniz_minor(u, rows, cols) >= 0
 
 
 class TestSerialization:
@@ -487,11 +473,13 @@ class TestMulX:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_matches_product_with_gen_x(self, family, data):
+        # x_i(a) built with no mul_x, as the transpose of y_i(a)
         n = data.draw(st.integers(2, 5))
         m = data.draw(_FAMILIES[family](n))
         a = data.draw(_small | _large)
         for i in range(1, n):
-            assert mul_x(m, i, a) == mat_mul(m, gen_x(n, i, a))
+            x = transpose(y_product(n, (i,), (a,)))
+            assert mul_x(m, i, a) == mat_mul(m, x)
 
 
 class TestYMul:
@@ -750,7 +738,7 @@ class TestBruhatCell:
         rng = random.Random(75)
         points = [borel_from(random_sl(4, rng)) for _ in range(5)]
         expected = [ref_stratum(b) for b in points]
-        origin = b_plus(4)
+        origin = borel_from(identity_mat(4))
         monkeypatch.setattr(linalg, "column_echelon", None)
         monkeypatch.setattr(flag, "column_echelon", None)
         assert [stratum(b) for b in points] == expected
@@ -759,9 +747,9 @@ class TestBruhatCell:
 
 
 class TestDet:
-    """det and minor read the column echelon, integer_minors expands every
-    minor by Laplace; the Leibniz sum in tests/conftest.py is the
-    independent oracle."""
+    """det reads the column echelon, integer_minors expands every minor by
+    Laplace; the Leibniz sum in tests/conftest.py is the independent
+    oracle."""
 
     @staticmethod
     def _inputs(n, rng):
@@ -781,7 +769,6 @@ class TestDet:
             expected = leibniz_det(g)
             singular.add(expected == 0)
             assert det(g) == expected, g
-            assert minor(g, range(1, n + 1), range(1, n + 1)) == expected, g
         assert singular == {True, False}
 
     def test_minor_on_every_index_set(self):
@@ -790,17 +777,17 @@ class TestDet:
         for k in range(1, 5):
             for rows in itertools.combinations(range(1, 5), k):
                 for cols in itertools.combinations(range(1, 5), k):
-                    sub = [[g[i - 1][j - 1] for j in cols] for i in rows]
-                    assert minor(g, rows, cols) == leibniz_det(sub), (rows, cols)
+                    sub = submatrix(g, rows, cols)
+                    assert det(sub) == leibniz_minor(g, rows, cols), (rows, cols)
 
     def test_every_singular_minor_is_proved(self, monkeypatch):
         def refuse(*state):
             raise InternalInconsistency("proof refused")
 
-        assert minor(mat([[1, 2], [2, 4]]), [1, 2], [1, 2]) == 0
+        assert det(mat([[1, 2], [2, 4]])) == 0
         monkeypatch.setattr(linalg, "_prove_singular", refuse)
         with pytest.raises(InternalInconsistency):
-            minor(mat([[1, 2], [2, 4]]), [1, 2], [1, 2])
+            det(mat([[1, 2], [2, 4]]))
         with pytest.raises(InternalInconsistency):
             borel_from(mat([[1, 2], [2, 4]]))
 
@@ -817,7 +804,7 @@ class TestDet:
         g = mat([[2, Rat(1, 3), 5], [Rat(-1, 2), 1, 0], [4, 7, Rat(1, 5)]])
         for rows, cols in (([1], [2]), ([1, 3], [2, 3]), ([1, 2, 3], [1, 2, 3])):
             with pytest.raises(InternalInconsistency):
-                minor(g, rows, cols)
+                det(submatrix(g, rows, cols))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_table_matches_leibniz_on_every_index_set(self, n):

@@ -12,6 +12,7 @@ from conftest import (
     cell_point, chart_value, flag_minors_tnn, key_chart_lower, key_chart_upper,
     marsh_rietsch_point, rand_params, rand_rat, random_sl, ref_build_chart,
     ref_classify, ref_phi_up, ref_shape, ref_stratum, sparse_sl, subword_leq,
+    x_product,
 )
 from tnnflag import errors, linalg, richardson, weyl
 from tnnflag.cli import main
@@ -19,11 +20,9 @@ from tnnflag.errors import (
     InternalInconsistency, NotComparable, NotInBigCell, NotInChartImage,
     ParamCountMismatch, WrongCell, WrongStratum, ZeroParameter,
 )
-from tnnflag.flag import (
-    CellIndex, act, b_minus, b_plus, borel_from, opposite_position, stratum,
-)
+from tnnflag.flag import CellIndex, borel_from, opposite_position, stratum
 from tnnflag.linalg import (
-    Rat, gen_x, gen_y, identity_mat, mat_mul, rep_weyl, y_mul, y_product,
+    Rat, identity_mat, mat_mul, mul_x, rep_weyl, y_mul, y_product,
 )
 from tnnflag.richardson import (
     base_point, build_chart, classify, conjugator_word, eval_chart,
@@ -60,13 +59,14 @@ _nonzero_rat = st.builds(
 
 class TestPhiDown:
     def test_v_identity(self):
-        b = act(gen_y(3, 1, 2), b_plus(3))
+        b = borel_from(y_product(3, (1,), (2,)))
         wp = stratum(b).wp
         assert phi_down(wp, weyl.identity(3), b) == b
 
     def test_sl2_collapse(self):
-        b = act(gen_y(2, 1, 1), b_plus(2))
-        assert phi_down(weyl.identity(2), weyl.simple(2, 1), b) == b_minus(2)
+        b = borel_from(y_product(2, (1,), (1,)))
+        s1 = weyl.simple(2, 1)
+        assert phi_down(weyl.identity(2), s1, b) == borel_from(rep_weyl(s1))
 
     def test_phi_truncation_composes(self):
         # phi applied to a positive point of R_{1,w'} stays positive in R_{1,w'v}
@@ -87,13 +87,14 @@ class TestPhiDown:
 
 class TestPhiUp:
     def test_v_identity(self):
-        b = act(gen_y(3, 2, 3), b_plus(3))
+        b = borel_from(y_product(3, (2,), (3,)))
         w = stratum(b).w
         assert phi_up(w, weyl.identity(3), b) == b
 
     def test_sl2(self):
-        b = act(gen_x(2, 1, 1), b_minus(2))
-        assert phi_up(weyl.identity(2), weyl.simple(2, 1), b) == b_plus(2)
+        s1 = weyl.simple(2, 1)
+        b = borel_from(mat_mul(x_product(2, (1,), (1,)), rep_weyl(s1)))
+        assert phi_up(weyl.identity(2), s1, b) == borel_from(identity_mat(2))
 
     def test_inverse_of_phi_down(self):
         rng = random.Random(12)
@@ -195,9 +196,10 @@ class TestMarshRietsch:
 
 class TestPi:
     def test_sl2(self):
+        s1 = weyl.simple(2, 1)
         for a in (Rat(1), Rat(-2), Rat(5, 3)):
-            b = act(gen_y(2, 1, a), b_plus(2))
-            assert pi(weyl.identity(2), weyl.simple(2, 1), 1, b) == b_minus(2)
+            b = borel_from(y_product(2, (1,), (a,)))
+            assert pi(weyl.identity(2), s1, 1, b) == borel_from(rep_weyl(s1))
 
     def test_pi_keeps_positive_points_in_left_cell(self):
         rng = random.Random(13)
@@ -222,12 +224,13 @@ class TestPi:
 class TestKeyCharts:
     def test_upper_constant(self):
         word, evaluate = key_chart_upper(weyl.identity(2))
-        assert word == () and evaluate(()) == b_minus(2)
+        assert word == () and evaluate(()) == borel_from(rep_weyl(weyl.simple(2, 1)))
 
     def test_upper_sl2(self):
-        word, evaluate = key_chart_upper(weyl.simple(2, 1))
+        s1 = weyl.simple(2, 1)
+        word, evaluate = key_chart_upper(s1)
         b = evaluate((Rat(1),))
-        assert b == act(gen_x(2, 1, 1), b_minus(2))
+        assert b == borel_from(mat_mul(x_product(2, (1,), (1,)), rep_weyl(s1)))
 
     def test_upper_stratum_exhaustive(self):
         rng = random.Random(15)
@@ -238,11 +241,11 @@ class TestKeyCharts:
 
     def test_lower_constant(self):
         word, evaluate = key_chart_lower(weyl.longest_element(3))
-        assert word == () and evaluate(()) == b_plus(3)
+        assert word == () and evaluate(()) == borel_from(identity_mat(3))
 
     def test_lower_sl2(self):
         word, evaluate = key_chart_lower(weyl.identity(2))
-        assert evaluate((Rat(1),)) == act(gen_y(2, 1, 1), b_plus(2))
+        assert evaluate((Rat(1),)) == borel_from(y_product(2, (1,), (1,)))
 
     def test_lower_stratum_exhaustive(self):
         rng = random.Random(16)
@@ -260,9 +263,10 @@ class TestKeyCharts:
 class TestPsi:
     def test_sl2_from_base(self):
         e, s1 = weyl.identity(2), weyl.simple(2, 1)
+        b_minus = borel_from(rep_weyl(s1))
         for a in (Rat(2), Rat(-1, 3)):
-            b = psi(e, s1, 1, b_minus(2), a)
-            assert b == act(gen_x(2, 1, a), b_minus(2))
+            b = psi(e, s1, 1, b_minus, a)
+            assert b == borel_from(mat_mul(x_product(2, (1,), (a,)), rep_weyl(s1)))
 
     def test_conjugator_inverse_is_the_reversed_word(self):
         for n in range(2, 6):
@@ -272,8 +276,9 @@ class TestPsi:
                 assert y_mul(word, [1] * len(word), y_inv) == identity_mat(n), w
 
     def test_zero_parameter(self):
+        s1 = weyl.simple(2, 1)
         with pytest.raises(ZeroParameter):
-            psi(weyl.identity(2), weyl.simple(2, 1), 1, b_minus(2), 0)
+            psi(weyl.identity(2), s1, 1, borel_from(rep_weyl(s1)), 0)
 
     def test_diagram_commutes(self):
         # pi(psi(B, a)) = B for nonzero a of both signs
@@ -300,9 +305,9 @@ class TestPsi:
 
 class TestPsiInv:
     def test_sl2(self):
-        b = act(gen_y(2, 1, 1), b_plus(2))
+        b = borel_from(y_product(2, (1,), (1,)))
         p, a = psi_inv(weyl.identity(2), weyl.simple(2, 1), 1, b)
-        assert p == b_minus(2) and a == 1
+        assert p == borel_from(rep_weyl(weyl.simple(2, 1))) and a == 1
 
     def test_roundtrip(self):
         rng = random.Random(19)
@@ -336,7 +341,7 @@ class TestPsiInv:
 
     def test_b_plus_not_in_cell(self):
         with pytest.raises((NotInBigCell, NotInChartImage)):
-            psi_inv(weyl.identity(2), weyl.simple(2, 1), 1, b_plus(2))
+            psi_inv(weyl.identity(2), weyl.simple(2, 1), 1, borel_from(identity_mat(2)))
 
     def test_residual_check_compares_every_entry(self, monkeypatch):
         # the big-cell witnesses are injected: x_full = x_partial * x_{i'}(a)
@@ -350,7 +355,7 @@ class TestPsiInv:
             x_partial = tuple(tuple(Rat(1) if r == c else rand_rat(rng) if c > r else Rat(0)
                                     for c in range(n)) for r in range(n))
             a = rand_rat(rng)
-            x_full = mat_mul(x_partial, gen_x(n, ip, a))
+            x_full = mul_x(x_partial, ip, a)
             cases = [(x_full, True)]
             for r in range(n):
                 for c in range(n):
@@ -373,7 +378,7 @@ class TestPsiInv:
 class TestBasePoints:
     def test_b_plus_base(self):
         w0 = weyl.longest_element(3)
-        assert base_point(w0) == b_plus(3)
+        assert base_point(w0) == borel_from(identity_mat(3))
 
     def test_all_verify(self):
         for n in (2, 3, 4):
@@ -400,7 +405,7 @@ class TestCharts:
         assert chart.base == weyl.identity(2)
         assert [step[0] for step in chart.steps] == ["extend"]
         b = eval_chart(chart, (Rat(1),))
-        assert b == act(gen_y(2, 1, 1), b_plus(2))
+        assert b == borel_from(y_product(2, (1,), (1,)))
 
     def test_all_charts_n3(self):
         for w, wp in weyl.bruhat_pairs(3):
@@ -434,7 +439,7 @@ class TestCharts:
     def test_wrong_stratum(self):
         chart = build_chart(weyl.identity(2), weyl.simple(2, 1))
         with pytest.raises(WrongStratum):
-            invert_chart(chart, b_plus(2))
+            invert_chart(chart, borel_from(identity_mat(2)))
 
     def test_open_cell_matches_key_chart(self):
         # chart points of (e, w0) classify like key-chart points
@@ -629,8 +634,8 @@ class TestEquivariance:
                 b, _, _ = positive_point(w, wpv_full, rng)
                 yw = conjugator_word(w)
                 y = y_product(n, yw, rand_params(rng, len(yw), positive=True))
-                lhs = phi_down(u, v, act(y, b))
-                rhs = act(y, phi_down(u, v, b))
+                lhs = phi_down(u, v, borel_from(mat_mul(y, b.rep)))
+                rhs = borel_from(mat_mul(y, phi_down(u, v, b).rep))
                 assert lhs == rhs
                 checked += 1
         assert checked > 20
@@ -638,26 +643,26 @@ class TestEquivariance:
 
 class TestClassify:
     def test_b_plus(self):
-        result = classify(b_plus(3))
+        result = classify(borel_from(identity_mat(3)))
         w0 = weyl.longest_element(3)
         assert result.index == CellIndex(w0, w0)
         assert result.coords == () and result.nonneg
-        assert chart_value(result) == b_plus(3)
+        assert chart_value(result) == borel_from(identity_mat(3))
 
     def test_sl2_both_signs(self):
-        pos_point = act(gen_y(2, 1, 1), b_plus(2))
+        pos_point = borel_from(y_product(2, (1,), (1,)))
         pos = classify(pos_point)
         assert pos.nonneg and pos.coords == (1,)
         assert chart_value(pos) == pos_point
-        neg_point = act(gen_y(2, 1, -1), b_plus(2))
+        neg_point = borel_from(y_product(2, (1,), (-1,)))
         neg = classify(neg_point)
         assert not neg.nonneg and neg.coords == (-1,)
         assert neg.reason == "NegativeCoordinate"
         assert chart_value(neg) == neg_point
 
     def test_sl3_open(self):
-        u = mat_mul(mat_mul(gen_y(3, 1, 1), gen_y(3, 2, 1)), gen_y(3, 1, 1))
-        b = act(u, b_plus(3))
+        u = y_product(3, (1, 2, 1), (1, 1, 1))
+        b = borel_from(u)
         result = classify(b)
         assert result.nonneg
         assert result.index == CellIndex(weyl.identity(3), weyl.longest_element(3))
@@ -675,11 +680,11 @@ class TestClassify:
             yw = conjugator_word(w)
             y = y_product(n, yw, rand_params(rng, len(yw), positive=True))
             b = eval_chart(chart, params)
-            assert classify(act(y, b)).nonneg
+            assert classify(borel_from(mat_mul(y, b.rep))).nonneg
             params[rng.randrange(chart.dim)] *= -1
             b_neg = eval_chart(chart, params)
             assert not classify(b_neg).nonneg
-            assert not classify(act(y, b_neg)).nonneg
+            assert not classify(borel_from(mat_mul(y, b_neg.rep))).nonneg
 
     # random flags and chart images of random pairs, boundary cells included,
     # half of them with mixed-sign parameters; sparse small-integer flags
@@ -718,7 +723,7 @@ class TestClassify:
     def test_result_is_slotted_and_shares_the_chart_index(self, u, expected):
         letters, params = zip(*u)
         g = y_product(3, letters, [Rat(a) for a in params])
-        b = act(g, b_plus(3))
+        b = borel_from(g)
         result = classify(b)
         assert chart_value(result) == b
         assert not hasattr(result, "__dict__")
@@ -727,7 +732,7 @@ class TestClassify:
         assert result.to_json() == expected
 
     def test_result_serialization(self):
-        b = act(gen_y(2, 1, Rat(1, 3)), b_plus(2))
+        b = borel_from(y_product(2, (1,), (Rat(1, 3),)))
         result = classify(b)
         assert chart_value(result) == b
         data = result.to_json()

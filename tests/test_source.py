@@ -6,10 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from tnnflag import linalg, richardson, weyl
+import tnnflag
+from tnnflag import errors, linalg, richardson, weyl
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tnnflag"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tnnflag"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _string_annotation_names(annotation):
@@ -181,3 +184,50 @@ def test_names_read_are_found():
 def test_charts_multiply_no_matrices():
     tree = ast.parse((SRC / "richardson.py").read_text())
     assert names_read(tree) & {"mat_mul", "y_product"} == set()
+
+
+def unreached_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """module.name for each module-level function and class that no other
+    statement of the modules reads by name."""
+    statements = [(stem, node, names_read(node))
+                  for stem, tree in trees.items() for node in tree.body]
+    return sorted(
+        f"{stem}.{node.name}" for stem, node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(node.name in names for _, other, names in statements
+                    if other is not node))
+
+
+def test_unreached_definitions_are_found():
+    trees = {"a": ast.parse("def f():\n    return f()\n\ndef g():\n    return f()\n"),
+             "b": ast.parse("class C:\n    pass\n\nc = C()\n")}
+    assert unreached_definitions(trees) == ["a.g"]
+
+
+def traced_names() -> set[str]:
+    """module.name for each function that bench/tracer.py wraps, read from
+    its SPANNED and COUNTED tables as literals, without running the tracer."""
+    tables = {}
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("SPANNED", "COUNTED"):
+                tables[name] = ast.literal_eval(node.value)
+    pairs = [(metric, attr) for metric, attrs in tables["SPANNED"] for attr in attrs]
+    pairs += tables["COUNTED"]
+    return {f"{metric.split('.')[0]}.{attr}" for metric, attr in pairs}
+
+
+# only code that a command reaches belongs in src/: every definition must be
+# read by name elsewhere in a module (the package's own __init__ keeps
+# nothing alive), unless the benchmark's tracer wraps it by name
+def test_every_definition_is_reached():
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    unreached = set(unreached_definitions(trees)) - traced_names()
+    assert sorted(unreached) == []
+
+
+@pytest.mark.parametrize("module", [tnnflag, errors], ids=lambda m: m.__name__)
+def test_every_export_resolves(module):
+    # so that ``from module import *`` works
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -156,6 +157,20 @@ class TestBruhatOrder:
                     assert not (weyl.bruhat_leq(u, w) and weyl.bruhat_leq(w, u))
 
 
+class TestAllPerms:
+    def test_rank_bound(self, monkeypatch):
+        # refused before any permutation is built: there are n! of them
+        def refuse(*args):
+            raise AssertionError("permutations built above the rank bound")
+
+        monkeypatch.setattr(weyl.itertools, "permutations", refuse)
+        for n in (weyl.MAX_RANK + 1, 16):
+            with pytest.raises(RankTooLarge):
+                weyl.all_perms(n)
+        monkeypatch.undo()
+        assert len(weyl.all_perms(weyl.MAX_RANK)) == math.factorial(weyl.MAX_RANK)
+
+
 class TestBruhatPairs:
     def test_n2(self):
         assert len(weyl.bruhat_pairs(2)) == 3
@@ -274,7 +289,3 @@ class TestSerialization:
     def test_perm_roundtrip(self):
         assert weyl.perm_from_str("2,3,1") == (2, 3, 1)
         assert weyl.perm_to_str((2, 3, 1)) == "2,3,1"
-
-    def test_word_roundtrip(self):
-        assert weyl.word_to_str((1, 2, 1)) == "[1,2,1]"
-        assert weyl.word_to_str(()) == "[]"

@@ -4,15 +4,18 @@ The chart for a pair w <= w' alternates two moves until the pair collapses
 to w = w': "peeling" by the maximal length-additive v, which transports
 R_{w,w'} isomorphically to R_{wv,w'v} without adding coordinates, and
 "extending" along the smallest s with w <= ws and w's <= w', which adds one
-coordinate through the map psi.  Both choices are canonical, so a chart is
+coordinate through the map psi.  Both choices are canonical: the peeled v
+is the meet of two lower intervals of the right weak order, which
+``weyl.peel`` reaches by common ascents taken in any order.  So a chart is
 its own last step and a link to the chart of the pair that step starts
 from, down to a base point: evaluation folds forward from the base and
 inversion walks the links backward.  Every chart is built once and shared,
 through the cache of ``build_chart`` or a census's own ``ChartTable``, and
-the permutations it stores are shared too, so a census holds each step
-once.  Positive parameters land in the totally nonnegative part of the
-stratum; the classifier inverts the chart of any rational flag and decides
-from the signs after an exact round trip.
+the permutations it stores are the one copy per rank that
+``weyl.canonical`` keeps, so a census holds each step once.  Positive
+parameters land in the totally nonnegative part of the stratum; the
+classifier inverts the chart of any rational flag and decides from the
+signs after an exact round trip.
 
 The round trip is proved on the points the inversion computes, with no
 second walk.  Inverting b = b_m walks inward through b_{m-1}, ..., b_0 and
@@ -248,30 +251,27 @@ def base_point(w: Perm) -> BorelPt:
     return b
 
 
-@lru_cache(maxsize=weyl.PERMS_UNDER_RANK_BOUND)
-def _shared(w: Perm) -> Perm:
-    """The one copy of w that charts store and pass as cache keys.
-
-    Equal permutations are equal whichever copy is used, so a copy dropped
-    from this cache only costs memory.
-    """
-    return w
-
-
 def _chart_step(w: Perm, wp: Perm, chart_of: Callable[[Perm, Perm], Chart]) -> Chart:
     """The chart for (w, w'): its last step, a peel or a descent-pair extension,
     linked to ``chart_of`` of the pair it starts from.  ``weyl.peel`` raises
-    ``NotComparable`` unless w <= w'."""
-    w, wp = _shared(w), _shared(wp)
+    ``NotComparable`` unless w <= w'.
+
+    Every permutation the chart stores or passes on is the one copy of
+    ``weyl.canonical``, and ``weyl.peel`` returns those copies already; the
+    peeled v is the meet of two weak-order intervals, so it does not depend
+    on the order ``peel`` takes the common ascents in.  ``weyl.canonical``
+    raises ``RankTooLarge`` above the rank bound before any chart is built.
+    """
+    w, wp = weyl.canonical(w), weyl.canonical(wp)
     if w == wp:
         return Chart(CellIndex(w, wp), 0, w, None, _step(None, None))
     v, wv, wpv = weyl.peel(w, wp)
     index = CellIndex(w, wp)
     if wv != w:  # v is not the identity
-        inner = chart_of(_shared(wv), _shared(wpv))
-        return Chart(index, inner.dim, inner.base, inner, _step("peel", _shared(v)))
+        inner = chart_of(wv, wpv)
+        return Chart(index, inner.dim, inner.base, inner, _step("peel", v))
     i = weyl.find_descent_pair(w, wp)
-    inner = chart_of(w, _shared(weyl.right_mult_simple(wp, i)))
+    inner = chart_of(w, weyl.canonical(weyl.right_mult_simple(wp, i)))
     return Chart(index, inner.dim + 1, inner.base, inner, _step("extend", i))
 
 

@@ -184,46 +184,44 @@ def all_perms(n: int) -> list[Perm]:
     return sorted(itertools.permutations(range(1, n + 1)), key=lambda p: (length(p), p))
 
 
-def _upper_covers(u: Perm) -> Iterator[Perm]:
-    """The v covering u in Bruhat order: u with the entries at positions
-    i < j swapped, where u(i) < u(j) and no k in (i, j) has u(i) < u(k) < u(j)
-    (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 2)."""
-    n = len(u)
-    for i in range(n):
-        low, high = u[i], n + 1
-        for j in range(i + 1, n):
-            if low < u[j] < high:
-                high = u[j]
-                v = list(u)
-                v[i], v[j] = v[j], v[i]
-                yield tuple(v)
-
-
 @lru_cache(maxsize=MAX_RANK)
-def _upper_intervals(n: int) -> tuple[tuple[Perm, ...], tuple[int, ...]]:
-    """``all_perms(n)`` and the upper interval [u, w0] of each u in it, as a
-    bitset over that list: u and the intervals of the covers of u, which come
-    later in ``all_perms``, so a backward walk builds every interval without
-    testing all (n!)^2 pairs.  ``all_perms`` holds n to the rank bound."""
-    perms = all_perms(n)
+def _table(n: int) -> tuple:
+    """S_n numbered in the order of ``all_perms``, built on first use of a
+    rank: ``all_perms(n)`` as a tuple, the position of each permutation in
+    it, the positions of w s_1 .. w s_{n-1} for each w, and the right-ascent
+    mask of each w, bit i-1 for s_i.  RankTooLarge above the rank bound."""
+    perms = tuple(all_perms(n))
     position = {w: k for k, w in enumerate(perms)}
-    upper = [0] * len(perms)
-    for k in reversed(range(len(perms))):
-        bits = 1 << k
-        for v in _upper_covers(perms[k]):
-            bits |= upper[position[v]]
-        upper[k] = bits
-    return tuple(perms), tuple(upper)
+    right = tuple(tuple(position[right_mult_simple(w, i)] for i in range(1, n))
+                  for w in perms)
+    ascents = tuple(sum(is_right_ascent(w, i) << (i - 1) for i in range(1, n))
+                    for w in perms)
+    return perms, position, right, ascents
+
+
+def canonical(w: Perm) -> Perm:
+    """The one copy of w that charts store and pass as cache keys, the
+    tuple in ``_table``, so that equal permutations are one object."""
+    perms, position = _table(len(w))[:2]
+    return perms[position[w]]
 
 
 def iter_bruhat_pairs(n: int) -> Iterator[tuple[Perm, Perm]]:
     """All pairs (w, w') with w <= w', ordered by w, then by w', each in
-    the order of ``all_perms``, one at a time."""
-    perms, upper = _upper_intervals(n)
-    for u, bits in zip(perms, upper):
-        # bin() lists the bits high to low; reversed, character k is bit k
-        for w in itertools.compress(perms, map("1".__eq__, bin(bits)[:1:-1])):
-            yield u, w
+    the order of ``all_perms``, one at a time.
+
+    Each row is the packed tableau test of ``bruhat_leq`` on the keys of
+    ``_prefix_key``.  A w' before w in ``all_perms`` is shorter or as long
+    and different, so it is never above w, and each row starts at w.
+    """
+    perms = _table(n)[0]
+    guards = _prefix_key(perms[0])[1]
+    upper = [_prefix_key(w)[0] | guards for w in perms]
+    for k, w in enumerate(perms):
+        kw = _prefix_key(w)[0]
+        for wp, kwp in zip(perms[k:], upper[k:]):
+            if (kwp - kw) & guards == guards:
+                yield w, wp
 
 
 @lru_cache(maxsize=MAX_RANK)
@@ -234,35 +232,28 @@ def bruhat_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
 
 def peel(w: Perm, wp: Perm) -> tuple[Perm, Perm, Perm]:
     """(v, wv, w'v) for the maximal v with l(wv) = l(w)+l(v) and
-    l(w'v) = l(w')+l(v).
+    l(w'v) = l(w')+l(v), as the canonical copies of ``canonical``.
 
     The v that are length-additive with w form a lower interval of the
     right weak order, so those additive with both w and w' form the
     intersection of two lower intervals, which has a unique maximum, their
     meet (the weak order is a lattice; Bjorner-Brenti, Combinatorics of
-    Coxeter Groups, ch. 3).  Extending by one common ascent at a time
-    reaches it whatever the order.  The scan goes up the positions and
-    steps back one after each swap, the only earlier position a swap at i
-    can turn into a common ascent.  wv and w'v are the products the scan
-    swaps along with v, so they cost nothing more.  For the returned v,
-    every simple s lengthening wv shortens w'v.
+    Coxeter Groups, ch. 3).  A common ascent s of wv and w'v is an ascent
+    of v too, so v s stays in the intersection; a v with no common ascent
+    left has no cover in it, which in a lower interval makes v its top.  So
+    extending by any common ascent, one at a time, reaches the meet
+    whatever the order, and the loop takes the lowest.  wv and w'v move
+    with v through ``_table``, so they cost nothing more.  For the
+    returned v, every simple s lengthening wv shortens w'v.
     """
+    perms, position, right, ascents = _table(len(w))
     if not bruhat_leq(w, wp):
         raise NotComparable(f"{w} is not <= {wp} in Bruhat order")
-    n = len(w)
-    v, wv, wpv = list(range(1, n + 1)), list(w), list(wp)
-    i = 1
-    while i < n:
-        a, b = wv[i - 1], wv[i]
-        if a < b and wpv[i - 1] < wpv[i]:
-            wv[i - 1], wv[i] = b, a
-            wpv[i - 1], wpv[i] = wpv[i], wpv[i - 1]
-            v[i - 1], v[i] = v[i], v[i - 1]
-            if i > 1:
-                i -= 1
-        else:
-            i += 1
-    return tuple(v), tuple(wv), tuple(wpv)
+    a, b, v = position[w], position[wp], 0
+    while common := ascents[a] & ascents[b]:
+        i = (common & -common).bit_length() - 1
+        a, b, v = right[a][i], right[b][i], right[v][i]
+    return perms[v], perms[a], perms[b]
 
 
 def find_descent_pair(w: Perm, wp: Perm) -> int:
@@ -273,7 +264,6 @@ def find_descent_pair(w: Perm, wp: Perm) -> int:
     raise NoDescentPair(f"no simple reflection raises {w} and lowers {wp}")
 
 
-@lru_cache(maxsize=PERMS_UNDER_RANK_BOUND)
 def perm_to_str(w: Perm) -> str:
     return ",".join(map(str, w))
 

@@ -18,7 +18,7 @@ from tnnflag import errors, linalg, richardson, weyl
 from tnnflag.cli import main
 from tnnflag.errors import (
     InternalInconsistency, NotComparable, NotInBigCell, NotInChartImage,
-    ParamCountMismatch, WrongCell, WrongStratum, ZeroParameter,
+    ParamCountMismatch, RankTooLarge, WrongCell, WrongStratum, ZeroParameter,
 )
 from tnnflag.flag import CellIndex, borel_from, opposite_position, stratum
 from tnnflag.linalg import (
@@ -527,7 +527,7 @@ class TestChartLinks:
     def test_equal_permutations_are_one_object(self):
         # rebuilt from empty caches, so that every chart is built here
         build_chart.cache_clear()
-        richardson._shared.cache_clear()
+        weyl._table.cache_clear()
         richardson._step.cache_clear()
         objects = {}
         for n in (2, 3, 4, 5):
@@ -619,6 +619,41 @@ class TestChartTable:
         gc.collect()
         assert live_charts() == before
         assert build_chart.cache_info().currsize == cached
+
+    def test_rank_bound(self):
+        # refused before any chart is built or cached: the caches are sized
+        # for the pairs up to the rank bound
+        n = weyl.MAX_RANK + 1
+        w, wp = weyl.identity(n), weyl.longest_element(n)
+        cached = build_chart.cache_info().currsize
+        with pytest.raises(RankTooLarge):
+            build_chart(w, wp)
+        assert build_chart.cache_info().currsize == cached
+        table = richardson.ChartTable()
+        with pytest.raises(RankTooLarge):
+            table.chart(w, wp)
+        assert not any(table.values())
+
+    def test_the_census_reaches_peel_and_bruhat_leq_by_name(self, capsys, monkeypatch):
+        # the benchmark's tracer counts these two by patching the module
+        # attributes; listing the pairs must add no bruhat_leq call
+        calls = {"peel": 0, "bruhat_leq": 0}
+
+        def counted(name):
+            original = getattr(weyl, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(weyl, name, counted(name))
+        assert main(["cells", "--n", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 213
+        # a peel for each of the 213 - 24 pairs w < w', each checking
+        # w <= w', and a CellIndex check for each of the 213 charts
+        assert calls == {"peel": 189, "bruhat_leq": 189 + 213}
 
 
 class TestEquivariance:

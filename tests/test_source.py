@@ -74,10 +74,8 @@ def test_fraction_is_the_rational_type():
 # until it is listed here on purpose
 CACHED = {
     "richardson.base_point", "richardson.build_chart",
-    "richardson.conjugator_word", "richardson._shared",
-    "richardson._step",
-    "weyl._prefix_key", "weyl._upper_intervals", "weyl.bruhat_pairs",
-    "weyl.perm_to_str",
+    "richardson.conjugator_word", "richardson._step",
+    "weyl._prefix_key", "weyl._table", "weyl.bruhat_pairs",
 }
 
 

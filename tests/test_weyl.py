@@ -190,7 +190,7 @@ class TestBruhatPairs:
     def test_count_matches_oeis(self, n, count):
         assert len(weyl.bruhat_pairs(n)) == count
 
-    # the cover walk must list the brute-force pairs in the brute-force order
+    # the tableau test must list the brute-force pairs in the brute-force order
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_order_matches_dominance_oracle(self, n):
         perms = weyl.all_perms(n)
@@ -254,6 +254,24 @@ class TestPeel:
                 v, wv, wpv = weyl.peel(w, wp)
                 assert wv == weyl.multiply(w, v), (w, wp)
                 assert wpv == weyl.multiply(wp, v), (w, wp)
+                # the shared copies, as charts store them
+                for p in (v, wv, wpv):
+                    assert p is weyl.canonical(p), (w, wp)
+
+    def test_rank_bound(self):
+        # refused before the rank's table is built or any key cached
+        n = weyl.MAX_RANK + 1
+        w, wp = weyl.identity(n), weyl.longest_element(n)
+
+        def sizes():
+            return weyl._table.cache_info().currsize, weyl._prefix_key.cache_info().currsize
+
+        before = sizes()
+        with pytest.raises(RankTooLarge):
+            weyl.peel(w, wp)
+        with pytest.raises(RankTooLarge):
+            weyl.canonical(w)
+        assert sizes() == before
 
     def test_v_is_the_unique_maximum(self):
         # every v additive with both w and w' is a prefix of the peeled v,
@@ -268,6 +286,15 @@ class TestPeel:
                             == weyl.length(wp) + weyl.length(u)):
                         rest = weyl.multiply(weyl.inverse(u), v)
                         assert weyl.length(u) + weyl.length(rest) == weyl.length(v)
+
+
+class TestCanonical:
+    def test_equal_permutations_are_one_object(self):
+        for n in range(1, weyl.MAX_RANK + 1):
+            for w in weyl.all_perms(n):
+                copy = tuple(list(w))
+                assert weyl.canonical(copy) == w
+                assert weyl.canonical(copy) is weyl.canonical(w)
 
 
 class TestFindDescentPair:

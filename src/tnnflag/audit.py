@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import flag, linalg, richardson, weyl
 from .errors import NotTNN, RankTooLarge
@@ -39,14 +39,7 @@ class AuditReport:
             self.failures.append(failure)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "seed": self.seed,
-            "cell_census": self.cell_census,
-            "samples_total": self.samples_total,
-            "samples_passed": self.samples_passed,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 def _stream(seed: int, label: str) -> random.Random:
@@ -124,8 +117,7 @@ def audit_decomposition(n: int, samples: int, seed: int) -> AuditReport:
             [weyl.perm_to_str(w), weyl.perm_to_str(wp), chart.dim]
         )
         report.record(chart.dim == expected, {
-            "kind": "census_dim", "w": weyl.perm_to_str(w),
-            "wp": weyl.perm_to_str(wp), "dim": chart.dim,
+            "kind": "census_dim", **chart.index.to_json(), "dim": chart.dim,
             "expected": expected,
         } if chart.dim != expected else None)
 
@@ -157,9 +149,8 @@ def audit_decomposition(n: int, samples: int, seed: int) -> AuditReport:
         b = richardson.eval_chart(chart, params)
         ok = richardson.invert_chart(chart, b) == params
         report.record(ok, None if ok else {
-            "kind": "roundtrip", "w": weyl.perm_to_str(w),
-            "wp": weyl.perm_to_str(wp),
-            "params": [linalg.rat_to_str(p) for p in params],
+            "kind": "roundtrip", **chart.index.to_json(),
+            "params": [str(p) for p in params],
         })
     return report
 

@@ -118,9 +118,8 @@ def cmd_eval(args) -> int:
     b = richardson.eval_chart(chart, params)
     payload = {
         "n": args.n,
-        "w": weyl.perm_to_str(w),
-        "wp": weyl.perm_to_str(wp),
-        "params": [linalg.rat_to_str(p) for p in params],
+        **chart.index.to_json(),
+        "params": [str(p) for p in params],
         "stratum": flag.stratum(b).to_json(),
         **b.to_json(),
     }

@@ -65,14 +65,6 @@ def rat(value) -> "Rat":
         raise ValueError(f"not an exact rational: {value!r}") from exc
 
 
-def rat_to_str(r) -> str:
-    """Serialize as 'p/q', or just 'p' when the denominator is 1."""
-    r = Rat(r)
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
-
-
 def mat(rows: Iterable[Iterable]) -> Mat:
     m = tuple(tuple(rat(x) for x in row) for row in rows)
     if any(len(row) != len(m) for row in m):
@@ -422,7 +414,7 @@ def opposite_big_cell_factor(g: Mat) -> Mat:
 
 
 def mat_to_json(m: Mat) -> list[list[str]]:
-    return [[rat_to_str(x) for x in row] for row in m]
+    return [[str(x) for x in row] for row in m]
 
 
 def mat_from_json(rows: list[list[str]]) -> Mat:

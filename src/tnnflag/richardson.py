@@ -286,9 +286,10 @@ class ChartTable(dict):
     alive as long as the table or one of them; each inner chart is the table's."""
 
     def chart(self, w: Perm, wp: Perm) -> Chart:
-        row = self.setdefault(w, {})
-        if (found := row.get(wp)) is None:
-            found = row[wp] = _chart_step(w, wp, self.chart)
+        """A hit allocates nothing, and a refused chart leaves no row."""
+        if (row := self.get(w)) and (found := row.get(wp)):
+            return found
+        found = self.setdefault(w, {})[wp] = _chart_step(w, wp, self.chart)
         return found
 
 
@@ -353,7 +354,7 @@ class ClassifyResult:
 
     def to_json(self) -> dict:
         data = self.index.to_json()
-        data["coords"] = [linalg.rat_to_str(c) for c in self.coords]
+        data["coords"] = [str(c) for c in self.coords]
         data["nonneg"] = self.nonneg
         data["reason"] = self.reason
         return data

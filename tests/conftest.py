@@ -1,7 +1,9 @@
+import ast
 import itertools
 import json
 import random
 from operator import le
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,21 @@ from tnnflag.errors import (
 from tnnflag.flag import CellIndex, borel_from, stratum
 from tnnflag.linalg import Rat, identity_mat, mat_mul, mul_x, rep_weyl, y_product
 from tnnflag.richardson import ClassifyResult, build_chart, eval_chart, invert_chart
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def traced_names():
+    """(metric, attr) for each function that bench/tracer.py wraps, read from
+    its SPANNED and COUNTED tables as literals, without running the tracer."""
+    tables = {}
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("SPANNED", "COUNTED"):
+                tables[name] = ast.literal_eval(node.value)
+    pairs = [(metric, attr) for metric, attrs in tables["SPANNED"] for attr in attrs]
+    return pairs + list(tables["COUNTED"])
 
 
 def report_text(report):
@@ -162,6 +179,13 @@ def ref_peel(w, wp):
                 break
         else:
             return v
+
+
+def ref_find_descent_pair(w, wp):
+    """weyl.find_descent_pair as a scan of both permutations: the smallest i
+    with w(i) < w(i+1) and w'(i) > w'(i+1), or None when there is none."""
+    return next((i for i in range(1, len(w)) if w[i - 1] < w[i] and wp[i - 1] > wp[i]),
+                None)
 
 
 def ref_build_chart(w, wp):

@@ -373,8 +373,8 @@ class TestTNNSemigroupMinors:
 
 class TestSerialization:
     def test_rat_strings(self):
-        assert linalg.rat_to_str(Rat(3, 4)) == "3/4"
-        assert linalg.rat_to_str(Rat(5)) == "5"
+        assert linalg.mat_to_json(((Rat(3, 4),),)) == [["3/4"]]
+        assert linalg.mat_to_json(((Rat(5),),)) == [["5"]]
         assert linalg.rat("-7/2") == Rat(-7, 2)
 
     @pytest.mark.parametrize("value, expected", [

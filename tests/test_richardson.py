@@ -634,6 +634,17 @@ class TestChartTable:
             table.chart(w, wp)
         assert not any(table.values())
 
+    @pytest.mark.parametrize("w, wp, error", [
+        (weyl.identity(weyl.MAX_RANK + 1), weyl.longest_element(weyl.MAX_RANK + 1),
+         RankTooLarge),
+        ((2, 1), (1, 2), NotComparable),
+    ], ids=["RankTooLarge", "NotComparable"])
+    def test_a_refused_chart_leaves_no_row(self, w, wp, error):
+        table = richardson.ChartTable()
+        with pytest.raises(error):
+            table.chart(w, wp)
+        assert table == {}
+
     def test_the_census_reaches_peel_and_bruhat_leq_by_name(self, capsys, monkeypatch):
         # the benchmark's tracer counts these two by patching the module
         # attributes; listing the pairs must add no bruhat_leq call

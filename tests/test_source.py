@@ -6,13 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import traced_names
 import tnnflag
 from tnnflag import errors, linalg, richardson, weyl
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "tnnflag"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _string_annotation_names(annotation):
@@ -202,26 +202,13 @@ def test_unreached_definitions_are_found():
     assert unreached_definitions(trees) == ["a.g"]
 
 
-def traced_names() -> set[str]:
-    """module.name for each function that bench/tracer.py wraps, read from
-    its SPANNED and COUNTED tables as literals, without running the tracer."""
-    tables = {}
-    for node in ast.parse(TRACER.read_text()).body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            name = getattr(node.targets[0], "id", None)
-            if name in ("SPANNED", "COUNTED"):
-                tables[name] = ast.literal_eval(node.value)
-    pairs = [(metric, attr) for metric, attrs in tables["SPANNED"] for attr in attrs]
-    pairs += tables["COUNTED"]
-    return {f"{metric.split('.')[0]}.{attr}" for metric, attr in pairs}
-
-
 # only code that a command reaches belongs in src/: every definition must be
 # read by name elsewhere in a module (the package's own __init__ keeps
 # nothing alive), unless the benchmark's tracer wraps it by name
 def test_every_definition_is_reached():
     trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
-    unreached = set(unreached_definitions(trees)) - traced_names()
+    traced = {f"{metric.split('.')[0]}.{attr}" for metric, attr in traced_names()}
+    unreached = set(unreached_definitions(trees)) - traced
     assert sorted(unreached) == []
 
 

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from conftest import dominance_table, ref_bruhat_leq, ref_peel, subword_leq
+from conftest import (
+    dominance_table, ref_bruhat_leq, ref_find_descent_pair, ref_peel, subword_leq,
+)
 from tnnflag import weyl
 from tnnflag.errors import NoDescentPair, NotComparable, RankMismatch, RankTooLarge
 
@@ -91,6 +93,11 @@ class TestReducedWord:
         w0 = weyl.longest_element(3)
         words = list(weyl.all_reduced_words(w0))
         assert sorted(words) == [(1, 2, 1), (2, 1, 2)]
+
+    def test_all_reduced_words_rank_bound(self):
+        # refused before the first word: w0 has 1,100,742,656 at n = 7
+        with pytest.raises(RankTooLarge):
+            next(weyl.all_reduced_words(weyl.longest_element(weyl.MAX_RANK + 1)))
 
 
 class TestBruhatOrder:
@@ -310,6 +317,25 @@ class TestFindDescentPair:
     def test_none_exists(self):
         with pytest.raises(NoDescentPair):
             weyl.find_descent_pair(s(3, 1), s(3, 1))
+
+    # the ascent masks of the rank table against a scan of both permutations,
+    # on every pair, comparable or not
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_agrees_with_the_scan(self, n):
+        perms = weyl.all_perms(n)
+        for u in perms:
+            for w in perms:
+                expected = ref_find_descent_pair(u, w)
+                if expected is None:
+                    with pytest.raises(NoDescentPair):
+                        weyl.find_descent_pair(u, w)
+                else:
+                    assert weyl.find_descent_pair(u, w) == expected
+
+    def test_rank_bound(self):
+        n = weyl.MAX_RANK + 1
+        with pytest.raises(RankTooLarge):
+            weyl.find_descent_pair(weyl.identity(n), weyl.longest_element(n))
 
 
 class TestSerialization:

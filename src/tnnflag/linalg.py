@@ -156,13 +156,16 @@ def mul_x(m: Mat, i: int, a) -> Mat:
 def y_mul(letters: Sequence[int], params: Sequence, m: Mat) -> Mat:
     """y_{letters[0]}(params[0]) * ... * y_{letters[-1]}(params[-1]) * m with
     no product: the letters act from the right end of the word, and
-    y_i(a) adds a times row i to row i+1."""
+    y_i(a) adds a times row i to row i+1, the row itself for a = +-1."""
     if len(letters) != len(params):
         raise ShapeMismatch("letters and parameters differ in count")
     rows = list(m)
     for i, a in zip(reversed(letters), reversed(params)):
         _check_index(len(rows), i)
-        rows[i] = tuple(y + a * x if x else y for x, y in zip(rows[i - 1], rows[i]))
+        up, row = rows[i - 1], rows[i]
+        rows[i] = (tuple(y + x if x else y for x, y in zip(up, row)) if a == 1 else
+                   tuple(y - x if x else y for x, y in zip(up, row)) if a == -1 else
+                   tuple(y + a * x if x else y for x, y in zip(up, row)))
     return tuple(rows)
 
 

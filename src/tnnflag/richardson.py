@@ -19,20 +19,18 @@ signs after an exact round trip.
 
 The round trip is proved on the points the inversion computes, with no
 second walk.  Inverting b = b_m walks inward through b_{m-1}, ..., b_0 and
-checks b_0 == base_point.  An extend step accepts b_k -> (b_{k-1}, a) only
-when x_partial * x_{i'}(a) == x_full for the big-cell witnesses of y * b_{k-1}
-and y * b_k; psi(b_{k-1}, a) is y^{-1} x_partial x_{i'}(a) w0 * B^+, so that
-identity is psi(b_{k-1}, a) == b_k.  A peel step by v onto R_{w,w'} takes
-b_{k-1} = phi_up(w, v, b_k) = b_k * v.  If A --x--> B --y--> C with
-l(xy) = l(x) + l(y), then A --xy--> C and B is the only such flag (Tits's
-axioms for the W-valued distance; Deodhar 1985), so the walk checks
-B^- --w'--> b_k, which is equivalent to phi_down(w', v, b_{k-1}) == b_k.
-It holds by induction: b_m by the stratum check of classify and
-invert_chart, a peel step's inner point at w'v by the same fact, an extend
-step's as pi's output, which phi_down puts at w's; so a failed check is an
-InternalInconsistency.  eval_chart folds the same maps outward from the
-same base point, so by induction on k it reaches b_k at every step and
-eval_chart(coords) == b.
+checks b_0 == base_point.  An extend step builds b_{k-1} with
+psi(b_{k-1}, a) == b_k by construction (``psi_inv``).  A peel step by v onto
+R_{w,w'} takes b_{k-1} = phi_up(w, v, b_k) = b_k * v.  If A --x--> B --y--> C
+with l(xy) = l(x) + l(y), then A --xy--> C and B is the only such flag
+(Tits's axioms for the W-valued distance; Deodhar 1985), so the walk checks
+B^- --w'--> b_k, which is equivalent to phi_down(w', v, b_{k-1}) == b_k.  It
+holds by induction: b_m by the stratum check of classify and invert_chart,
+a peel step's inner point at w'v by the same fact, an extend step's as
+psi_inv places it at w's; so a failed check is an InternalInconsistency.
+eval_chart folds the same maps outward from the same base point, so by
+induction on k it reaches b_k at every step and eval_chart(coords) == b.
+phi_down, psi and psi_inv take any representative: eval_chart builds one point.
 """
 
 from __future__ import annotations
@@ -43,11 +41,11 @@ from typing import Callable, Iterator, Sequence
 
 from . import linalg, weyl
 from .errors import (
-    InternalInconsistency, LengthNotAdditive, NotInChartImage, ParamCountMismatch,
-    TnnError, WrongCell, WrongStratum, ZeroParameter,
+    InternalInconsistency, LengthNotAdditive, NotInBigCell, NotInChartImage,
+    ParamCountMismatch, TnnError, WrongCell, WrongStratum, ZeroParameter,
 )
 from .flag import BorelPt, CellIndex, borel_from, opposite_position, stratum
-from .linalg import ONE, Rat, bruhat_factor_plus, mul_x, rep_weyl, weyl_mul, y_mul
+from .linalg import ONE, Mat, Rat, bruhat_factor_plus, mul_x, rep_weyl, weyl_mul, y_mul
 from .weyl import Perm, Word
 
 
@@ -63,41 +61,32 @@ def _additive_product(w: Perm, v: Perm) -> Perm:
     return wv
 
 
-def phi_down(w: Perm, v: Perm, b: BorelPt) -> BorelPt:
-    """The unique P with B^- --w--> P --v--> b, for b at position wv from B^-.
+def phi_down(w: Perm, v: Perm, g: Mat) -> Mat:
+    """A representative of the unique P with B^- --w--> P --v--> g * B^+, for
+    any representative g at position wv from B^-.
 
     rep_weyl(w0) stands in for its inverse (-1)^(n-1) * rep_weyl(w0): the
     scalar changes neither b1 nor u.
     """
     wv = _additive_product(w, v)
     w0 = weyl.longest_element(len(w))
-    b1, u = bruhat_factor_plus(weyl_mul(w0, b.rep))
+    b1, u = bruhat_factor_plus(weyl_mul(w0, g))
     if u != wv:
         raise WrongCell(f"point is at position {u} from B^-, expected {wv}")
-    return borel_from(weyl_mul(w0, weyl_mul(w, b1, right=True)))
+    return weyl_mul(w0, weyl_mul(w, b1, right=True))
 
 
-def phi_up(w: Perm, v: Perm, b: BorelPt) -> BorelPt:
-    """The unique P with B^+ --w0 w v--> P --v^{-1}--> b, for b in C^+_w.
+def phi_up(w: Perm, v: Perm, b: BorelPt) -> Mat:
+    """A representative of the unique P with B^+ --w0 w v--> P --v^{-1}--> b in C^+_w.
 
-    P is the right translate b * v: rep = b1 * rep_weyl(w0 w) * d with b1 in
-    U^+ and d diagonal, so rep * rep_weyl(v) lies in b1 * rep_weyl(w0 w v) * B^+.
+    P is the right translate b * v: the canonical rep = b1 * rep_weyl(w0 w) * d,
+    b1 in U^+ and d diagonal, so rep * rep_weyl(v) is in b1 * rep_weyl(w0 w v) * B^+.
     """
     _additive_product(w, v)
     expected = weyl.multiply(weyl.longest_element(len(w)), w)
     if b.position != expected:
         raise WrongCell(f"point is at position {b.position} from B^+, expected {expected}")
-    return borel_from(weyl_mul(v, b.rep, right=True))
-
-
-def pi(w: Perm, wp: Perm, s_index: int, b: BorelPt) -> BorelPt:
-    """phi_down along (w's, s): sends R_{w,w'} into R_{w,w's} or R_{ws,w's}."""
-    n = len(w)
-    if not weyl.is_right_ascent(w, s_index):
-        raise LengthNotAdditive(f"s_{s_index} does not lengthen {w}")
-    if weyl.is_right_ascent(wp, s_index):
-        raise LengthNotAdditive(f"s_{s_index} does not shorten {wp}")
-    return phi_down(weyl.right_mult_simple(wp, s_index), weyl.simple(n, s_index), b)
+    return weyl_mul(v, b.rep, right=True)
 
 
 # ---------------------------------------------------------------------------
@@ -115,48 +104,89 @@ def conjugator_word(w: Perm) -> Word:
     return weyl.reduced_word(weyl.multiply(weyl.multiply(w0, weyl.inverse(w)), w0))
 
 
-def _psi_with(y_word: Word, s_index: int, b: BorelPt, a) -> BorelPt:
-    n = b.n
+def _psi_with(y_word: Word, s_index: int, g: Mat, a) -> Mat:
     if a == 0:
         raise ZeroParameter("chart parameters must be nonzero")
-    # the big-cell witness depends only on the coset, so y * rep needs no
-    # canonical form
-    x = linalg.opposite_big_cell_factor(y_mul(y_word, (ONE,) * len(y_word), b.rep))
-    ip = n - s_index  # w0 s_i w0 = s_{n-i}
-    x_a = mul_x(x, ip, a)  # x * x_{i'}(a)
-    return borel_from(y_mul(y_word[::-1], (-ONE,) * len(y_word),
-                            weyl_mul(weyl.longest_element(n), x_a, right=True)))
+    x = linalg.opposite_big_cell_factor(y_mul(y_word, (ONE,) * len(y_word), g))
+    return _from_witness(y_word, s_index, x, a)
 
 
-def psi(w: Perm, wp: Perm, s_index: int, b: BorelPt, a) -> BorelPt:
-    """One-parameter extension R_{w,w's} x R* -> R_{w,w'}.
+def _from_witness(y_word: Word, s_index: int, x: Mat, a) -> Mat:
+    """y^{-1} x x_{i'}(a) w0: psi at a of the point whose y-translate has witness x."""
+    n = len(x)
+    return y_mul(y_word[::-1], (-ONE,) * len(y_word),  # w0 s_i w0 = s_{n-i}
+                 weyl_mul(weyl.longest_element(n), mul_x(x, n - s_index, a), right=True))
 
-    Conjugates b into R_{1,w's} by a fixed positive y, appends x_{i'}(a) to
-    its big-cell witness, and conjugates back.  Satisfies pi(psi(b, a)) = b.
+
+def psi(w: Perm, wp: Perm, s_index: int, g: Mat, a) -> Mat:
+    """One-parameter extension R_{w,w's} x R* -> R_{w,w'} on representatives.
+
+    Conjugates g into R_{1,w's} by a fixed positive y, appends x_{i'}(a) to
+    its big-cell witness, and conjugates back.
     """
-    return _psi_with(conjugator_word(w), s_index, b, a)
+    return _psi_with(conjugator_word(w), s_index, g, a)
 
 
 def _psi_inv_with(
-    y_word: Word, w: Perm, wp: Perm, s_index: int, b: BorelPt
+    y_word: Word, w: Perm, wp: Perm, s_index: int, g: Mat
 ) -> tuple[BorelPt, "Rat"]:
-    n = b.n
-    p = pi(w, wp, s_index, b)
-    ones = (ONE,) * len(y_word)
-    x_full = linalg.opposite_big_cell_factor(y_mul(y_word, ones, b.rep))
-    x_partial = linalg.opposite_big_cell_factor(y_mul(y_word, ones, p.rep))
-    # x_partial is unitriangular, so x_full = x_partial * x_{i'}(a) forces
-    # a to be the difference of their (i', i'+1) entries
-    ip = n - s_index
-    a = x_full[ip - 1][ip] - x_partial[ip - 1][ip]
-    if a == 0 or x_full != mul_x(x_partial, ip, a):
-        raise NotInChartImage("residual is not a single x_{i'}(a) with a != 0")
-    return p, a
+    n = len(g)
+    if not weyl.is_right_ascent(w, s_index):
+        raise LengthNotAdditive(f"s_{s_index} does not lengthen {w}")
+    if weyl.is_right_ascent(wp, s_index):
+        raise LengthNotAdditive(f"s_{s_index} does not shorten {wp}")
+    if (u := linalg.bruhat_cell(weyl_mul(weyl.longest_element(n), g))) != wp:
+        raise WrongCell(f"point is at position {u} from B^-, expected {wp}")
+    x = linalg.opposite_big_cell_factor(y_mul(y_word, (ONE,) * len(y_word), g))
+    a = _extend_parameter(x, n - s_index, [n - wp[k] for k in range(s_index)])
+    if a == 0:
+        raise NotInChartImage("recovered parameter is 0")
+    return borel_from(_from_witness(y_word, s_index, x, -a)), a
 
 
-def psi_inv(w: Perm, wp: Perm, s_index: int, b: BorelPt) -> tuple[BorelPt, "Rat"]:
-    """Inverse of psi on its image: (pi(b), recovered parameter)."""
-    return _psi_inv_with(conjugator_word(w), w, wp, s_index, b)
+def _extend_parameter(x: Mat, ip: int, rows: list[int]) -> "Rat":
+    """Delta_x(R; i'+1..n) / Delta_x(R; i', i'+2..n) on the 0-based rows R, by
+    one elimination: clearing the shared columns i'+2..n below their pivots
+    leaves a last row (0, .., 0, den, num), each minor det(pivots) times an
+    entry with one sign.  A wrong a fails the next step (psi_inv)."""
+    shared = range(ip + 1, len(x))
+    m = [[x[r][c] for c in (*shared, ip - 1, ip)] for r in rows]
+    for k in range(len(shared)):
+        p = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if p is None:  # the shared columns are dependent: both minors are 0
+            break
+        m[k], m[p] = m[p], m[k]
+        for row in m[k + 1:]:
+            if row[k]:
+                f = row[k] / m[k][k]
+                row[k:] = [y - f * z for y, z in zip(row[k:], m[k][k:])]
+    else:
+        den, num = m[-1][-2:]
+        if den:
+            return num / den
+    raise NotInBigCell("the inner point's witness does not exist")
+
+
+def psi_inv(w: Perm, wp: Perm, s_index: int, g: Mat) -> tuple[BorelPt, "Rat"]:
+    """Inverse of psi on its image: (p, a) with psi(p, a) = g * B^+ and p at
+    w's from B^-, for any representative g at w' from B^-.
+
+    For the witness x of y * g and q(c) = y^{-1} x x_{i'}(c) w0 * B^+, the
+    witness of y * q(c) is x x_{i'}(c) (it is unique in U^+), so
+    psi(q(-a), a) = g * B^+ for every a.  The q(c) are the s_i-panel of
+    g * B^+ less one point, each at w' or w's from B^- as y * q(c) is (y is
+    in B^-), and one panel point, phi_down(w's, s_i, g), is at w's (Tits).
+    For z in U^+ and u = w0 w' w0, z w0 * B^+ is at w' iff z is in B^- u B^-,
+    where its minor on R = u({i'+1..n}) = {n+1-w'(k) : k <= i} and
+    J = {i'+1..n} is not 0 (Cauchy-Binet); at w's, u s_{i'} sends J above R
+    and that minor is 0.  For z = x x_{i'}(c) it is f(c) = Delta_x(R; J) +
+    c * Delta_x(R; i', i'+2..n), with f(0) != 0 as g is at w' (checked
+    first).  So a = f(0) / Delta_x(R; i', i'+2..n) is never 0 and q(-a) is
+    the point at w's; a zero denominator leaves it the one no q(c) reaches,
+    outside the big cell after y, so that y * p has no witness.  The next
+    step (a peel's checks or the base point) places p in R_{w,w's}.
+    """
+    return _psi_inv_with(conjugator_word(w), w, wp, s_index, g)
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +330,11 @@ def eval_chart(chart: Chart, params: Sequence) -> BorelPt:
     params = [linalg.rat(p) for p in params]
     if any(p == 0 for p in params):
         raise ZeroParameter("chart parameters must be nonzero")
-    b = base_point(chart.base)
+    g = base_point(chart.base).rep
     coords = iter(params)
     for kind, w, wp, arg in chart.steps:
-        if kind == "peel":
-            b = phi_down(wp, arg, b)
-        else:
-            b = psi(w, wp, arg, b, next(coords))
-    return b
+        g = phi_down(wp, arg, g) if kind == "peel" else psi(w, wp, arg, g, next(coords))
+    return borel_from(g)
 
 
 def invert_chart(chart: Chart, b: BorelPt) -> tuple:
@@ -320,19 +347,21 @@ def invert_chart(chart: Chart, b: BorelPt) -> tuple:
 
 def _invert(chart: Chart, b: BorelPt) -> tuple:
     """The coordinates of b in the chart of its stratum, innermost first, from
-    one walk that proves each step: an extend by psi_inv's residual, a peel by
-    B^- --w'--> outer, which is phi_down(w', v, inner) == outer and holds by
-    induction on the walk (module docstring), else InternalInconsistency."""
-    coords = []
+    one walk that proves each step: an extend by construction (psi_inv), a
+    peel by B^- --w'--> outer, equivalent to phi_down(w', v, inner) == outer,
+    by induction on the walk (module docstring), else InternalInconsistency.
+    A peel's inner step is an extend, which takes phi_up's representative."""
+    coords, g = [], b.rep
     for step in chart.links():
         w, wp = step.index.w, step.index.wp
         if step.kind == "peel":
             if (u := opposite_position(b)) != wp:
                 raise InternalInconsistency(
                     f"peel onto {step.index}: point is at {u} from B^-, expected {wp}")
-            b = phi_up(w, step.arg, b)
+            g = phi_up(w, step.arg, b)
         else:
-            b, a = psi_inv(w, wp, step.arg, b)
+            b, a = psi_inv(w, wp, step.arg, g)
+            g = b.rep
             coords.append(a)
     if b != base_point(chart.base):
         raise NotInChartImage("point differs from the unique base point")

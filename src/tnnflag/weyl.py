@@ -5,8 +5,8 @@ is the image of ``k``.  Simple reflections are indexed ``1..n-1``; the word
 ``(i_1, ..., i_k)`` denotes the product ``s_{i_1} * ... * s_{i_k}``.
 
 Products compose right-to-left: ``multiply(u, v)`` applies ``v`` first, so
-``multiply(w, simple(n, i))`` is the right multiplication ``w s_i`` (it swaps
-the entries of ``w`` at positions ``i`` and ``i+1``).
+the right multiplication ``w s_i``, ``right_mult_simple(w, i)``, swaps the
+entries of ``w`` at positions ``i`` and ``i+1``.
 """
 
 from __future__ import annotations
@@ -47,15 +47,6 @@ def identity(n: int) -> Perm:
 def longest_element(n: int) -> Perm:
     """The order-reversing permutation w_0 = [n, n-1, ..., 1]."""
     return tuple(range(n, 0, -1))
-
-
-def simple(n: int, i: int) -> Perm:
-    """The simple reflection s_i, swapping i and i+1."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"simple reflection index {i} out of range for n={n}")
-    w = list(range(1, n + 1))
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
 
 
 def multiply(u: Perm, v: Perm) -> Perm:

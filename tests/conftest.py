@@ -9,12 +9,14 @@ import pytest
 
 from tnnflag import linalg, weyl
 from tnnflag.errors import (
-    InternalInconsistency, LengthNotAdditive, NotComparable, ParamCountMismatch,
-    ShapeMismatch, Singular, TnnError, WrongCell,
+    InternalInconsistency, LengthNotAdditive, NotComparable, NotInChartImage,
+    ParamCountMismatch, ShapeMismatch, Singular, TnnError, WrongCell,
 )
 from tnnflag.flag import CellIndex, borel_from, stratum
-from tnnflag.linalg import Rat, identity_mat, mat_mul, mul_x, rep_weyl, y_product
-from tnnflag.richardson import ClassifyResult, build_chart, eval_chart, invert_chart
+from tnnflag.linalg import Rat, identity_mat, mat_mul, mul_x, rep_weyl, y_mul, y_product
+from tnnflag.richardson import (
+    ClassifyResult, build_chart, conjugator_word, eval_chart, invert_chart, phi_down,
+)
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -152,6 +154,11 @@ def subword_leq(u, w):
             if weyl.word_to_perm(n, [word[p] for p in positions]) == u:
                 return True
     return False
+
+
+def simple(n, i):
+    """The simple reflection s_i of S_n, swapping i and i+1."""
+    return weyl.word_to_perm(n, (i,))
 
 
 def ref_prefix_key(w):
@@ -410,6 +417,38 @@ def ref_phi_up(w, v, b):
     if u != weyl.multiply(w0, w):
         raise WrongCell(f"point is at position {u} from B^+, expected {weyl.multiply(w0, w)}")
     return borel_from(mat_mul(b1, rep_weyl(weyl.multiply(w0, wv))))
+
+
+def ref_pi(w, wp, s_index, b):
+    """phi_down along (w's, s) on a point b: sends R_{w,w'} into R_{w,w's} or
+    R_{ws,w's}.  The inner point that richardson.psi_inv builds from two
+    minors, found by a Bruhat factorization instead."""
+    n = len(w)
+    if not weyl.is_right_ascent(w, s_index):
+        raise LengthNotAdditive(f"s_{s_index} does not lengthen {w}")
+    if weyl.is_right_ascent(wp, s_index):
+        raise LengthNotAdditive(f"s_{s_index} does not shorten {wp}")
+    return borel_from(phi_down(weyl.right_mult_simple(wp, s_index), simple(n, s_index),
+                               b.rep))
+
+
+def ref_psi_inv(w, wp, s_index, b):
+    """richardson.psi_inv on a point b from two big-cell witnesses: p = ref_pi(b),
+    and a from the residual x_full = x_partial * x_{i'}(a), checked entry by
+    entry (NotInChartImage when it fails or a == 0)."""
+    n = b.n
+    p = ref_pi(w, wp, s_index, b)
+    word = conjugator_word(w)
+    ones = (Rat(1),) * len(word)
+    x_full = linalg.opposite_big_cell_factor(y_mul(word, ones, b.rep))
+    x_partial = linalg.opposite_big_cell_factor(y_mul(word, ones, p.rep))
+    # x_partial is unitriangular, so x_full = x_partial * x_{i'}(a) forces
+    # a to be the difference of their (i', i'+1) entries
+    ip = n - s_index
+    a = x_full[ip - 1][ip] - x_partial[ip - 1][ip]
+    if a == 0 or x_full != mul_x(x_partial, ip, a):
+        raise NotInChartImage("residual is not a single x_{i'}(a) with a != 0")
+    return p, a
 
 
 def marsh_rietsch_point(v, w, t):

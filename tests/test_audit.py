@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import rand_rat, ref_is_tnn, report_text
+from conftest import rand_rat, ref_is_tnn, report_text, simple
 from tnnflag import audit, linalg, weyl
 from tnnflag.audit import (
     AuditReport, audit_decomposition, audit_semigroup, sample_tnn_flag,
@@ -31,7 +31,7 @@ class TestSemigroupCellOf:
         assert semigroup_cell_of(identity_mat(3)) == weyl.identity(3)
 
     def test_single_generator(self):
-        assert semigroup_cell_of(y_product(2, (1,), (Rat(3, 2),))) == weyl.simple(2, 1)
+        assert semigroup_cell_of(y_product(2, (1,), (Rat(3, 2),))) == simple(2, 1)
 
     def test_length_three_product(self):
         u = y_product(3, (1, 2, 1), (2, 3, 5))

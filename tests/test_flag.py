@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (
     cell_point, codim_check, leibniz_det, rand_params, rand_rat, random_sl,
-    rank_relative_position, ref_bruhat_leq, ref_mat_mul, sparse_sl, transpose,
+    rank_relative_position, ref_bruhat_leq, ref_mat_mul, simple, sparse_sl, transpose,
 )
 from tnnflag import flag, linalg, richardson, weyl
 from tnnflag.errors import InternalInconsistency, Singular
@@ -33,7 +33,7 @@ class TestBorelFrom:
             assert borel_from(g) == borel_from(mat_mul(g, t))
 
     def test_b_minus_sl2(self):
-        assert borel_from(rep_weyl(weyl.simple(2, 1))).rep == mat([[0, -1], [1, 0]])
+        assert borel_from(rep_weyl(simple(2, 1))).rep == mat([[0, -1], [1, 0]])
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(Singular):
@@ -166,8 +166,8 @@ class TestRelativePosition:
 
     def test_sl2_distinct_lines(self):
         b = borel_from(y_product(2, (1,), (1,)))
-        b_minus = borel_from(rep_weyl(weyl.simple(2, 1)))
-        assert relative_position(b_minus, b) == weyl.simple(2, 1)
+        b_minus = borel_from(rep_weyl(simple(2, 1)))
+        assert relative_position(b_minus, b) == simple(2, 1)
 
     def test_calibration_exhaustive(self):
         # pins the orientation convention: B^+ --w--> w * B^+
@@ -228,7 +228,7 @@ class TestStratum:
 
     def test_sl2_open(self):
         idx = stratum(borel_from(y_product(2, (1,), (1,))))
-        assert idx.w == weyl.identity(2) and idx.wp == weyl.simple(2, 1)
+        assert idx.w == weyl.identity(2) and idx.wp == simple(2, 1)
 
     def test_always_comparable(self):
         rng = random.Random(8)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     cell_point, is_upper_unitriangular, leibniz_det, leibniz_minor, rand_rat,
     random_sl, ref_column_echelon, ref_mat_mul, ref_rep_simple, ref_stratum,
-    ref_y_mul, sparse_sl, submatrix, transpose, x_product,
+    ref_y_mul, simple, sparse_sl, submatrix, transpose, x_product,
 )
 from tnnflag import flag, linalg, richardson, weyl
 from tnnflag.errors import (
@@ -70,7 +70,7 @@ class TestGenerators:
 
 class TestRepresentatives:
     def test_fourth_power(self):
-        r = rep_weyl(weyl.simple(3, 2))
+        r = rep_weyl(simple(3, 2))
         m = identity_mat(3)
         for _ in range(4):
             m = mat_mul(m, r)
@@ -78,7 +78,7 @@ class TestRepresentatives:
 
     def test_conjugation_permutes_diagonal(self):
         d = mat([[2, 0, 0], [0, 3, 0], [0, 0, Rat(1, 6)]])
-        r = rep_weyl(weyl.simple(3, 1))
+        r = rep_weyl(simple(3, 1))
         c = mat_mul(mat_mul(r, d), mat_inv(r))
         assert [c[i][i] for i in range(3)] == [3, 2, Rat(1, 6)]
 
@@ -86,7 +86,7 @@ class TestRepresentatives:
         assert rep_weyl(weyl.identity(3)) == identity_mat(3)
 
     def test_rep_weyl_s1(self):
-        assert rep_weyl(weyl.simple(2, 1)) == mat([[0, -1], [1, 0]])
+        assert rep_weyl(simple(2, 1)) == mat([[0, -1], [1, 0]])
 
     def test_braid_independence_w0_n3(self):
         s1, s2 = ref_rep_simple(3, 1), ref_rep_simple(3, 2)
@@ -187,7 +187,7 @@ class TestBruhatFactor:
 
     def test_sl2_lower(self):
         _, w = bruhat_factor_plus(y_product(2, (1,), (1,)))
-        assert w == weyl.simple(2, 1)
+        assert w == simple(2, 1)
 
     def test_singular(self):
         with pytest.raises(Singular):
@@ -499,6 +499,19 @@ class TestYMul:
                     assert y_mul(letters, ps, m) == ref_y_mul(letters, ps, m), (w, m)
                 # y_{i_k}(-1)...y_{i_1}(-1) undoes y_{i_1}(1)...y_{i_k}(1)
                 assert y_mul(word[::-1], minus_ones, y_mul(word, ones, m)) == m, (w, m)
+
+    # parameters 1 and -1 add or subtract the row with no product; each word
+    # mixes them, as ints and as rationals, with other parameters
+    def test_unit_parameters_match_the_product(self):
+        rng = random.Random(95)
+        units = (1, -1, Rat(1), Rat(-1), Rat(2, 2), Rat(-3, 3))
+        for n in (2, 3, 4, 5):
+            for _ in range(20):
+                letters = [rng.randint(1, n - 1) for _ in range(rng.randint(1, 8))]
+                params = [rng.choice(units) if rng.random() < 0.7 else rand_rat(rng)
+                          for _ in letters]
+                for m in (random_sl(n, rng), sparse_sl(n, rng)):
+                    assert y_mul(letters, params, m) == ref_y_mul(letters, params, m)
 
     def test_count_mismatch(self):
         with pytest.raises(ShapeMismatch):

@@ -4,6 +4,7 @@ import json
 import random
 import sys
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -11,8 +12,8 @@ from hypothesis import Phase, given, settings, strategies as st
 from conftest import (
     cell_point, chart_value, flag_minors_tnn, key_chart_lower, key_chart_upper,
     marsh_rietsch_point, rand_params, rand_rat, random_sl, ref_build_chart,
-    ref_classify, ref_phi_up, ref_shape, ref_stratum, sparse_sl, subword_leq,
-    x_product,
+    ref_classify, ref_phi_up, ref_pi, ref_psi_inv, ref_shape, ref_stratum, simple,
+    sparse_sl, subword_leq, x_product,
 )
 from tnnflag import errors, linalg, richardson, weyl
 from tnnflag.cli import main
@@ -26,7 +27,7 @@ from tnnflag.linalg import (
 )
 from tnnflag.richardson import (
     base_point, build_chart, classify, conjugator_word, eval_chart,
-    invert_chart, phi_down, phi_up, pi, psi, psi_inv,
+    invert_chart, phi_down, phi_up, psi, psi_inv,
 )
 
 
@@ -61,12 +62,12 @@ class TestPhiDown:
     def test_v_identity(self):
         b = borel_from(y_product(3, (1,), (2,)))
         wp = stratum(b).wp
-        assert phi_down(wp, weyl.identity(3), b) == b
+        assert borel_from(phi_down(wp, weyl.identity(3), b.rep)) == b
 
     def test_sl2_collapse(self):
         b = borel_from(y_product(2, (1,), (1,)))
-        s1 = weyl.simple(2, 1)
-        assert phi_down(weyl.identity(2), s1, b) == borel_from(rep_weyl(s1))
+        s1 = simple(2, 1)
+        assert borel_from(phi_down(weyl.identity(2), s1, b.rep)) == borel_from(rep_weyl(s1))
 
     def test_phi_truncation_composes(self):
         # phi applied to a positive point of R_{1,w'} stays positive in R_{1,w'v}
@@ -77,7 +78,7 @@ class TestPhiDown:
             for u, v in splits(wp):
                 if v == weyl.identity(3):
                     continue
-                image = phi_down(u, v, b)
+                image = borel_from(phi_down(u, v, b.rep))
                 result = classify(image)
                 assert result.nonneg
                 assert result.index == CellIndex(weyl.identity(3), u)
@@ -89,12 +90,12 @@ class TestPhiUp:
     def test_v_identity(self):
         b = borel_from(y_product(3, (2,), (3,)))
         w = stratum(b).w
-        assert phi_up(w, weyl.identity(3), b) == b
+        assert borel_from(phi_up(w, weyl.identity(3), b)) == b
 
     def test_sl2(self):
-        s1 = weyl.simple(2, 1)
+        s1 = simple(2, 1)
         b = borel_from(mat_mul(x_product(2, (1,), (1,)), rep_weyl(s1)))
-        assert phi_up(weyl.identity(2), s1, b) == borel_from(identity_mat(2))
+        assert borel_from(phi_up(weyl.identity(2), s1, b)) == borel_from(identity_mat(2))
 
     def test_inverse_of_phi_down(self):
         rng = random.Random(12)
@@ -104,8 +105,13 @@ class TestPhiUp:
                 continue
             wv, wpv = weyl.multiply(w, v), weyl.multiply(wp, v)
             inner_pt, _, _ = positive_point(wv, wpv, rng)
-            outer = phi_down(wp, v, inner_pt)
-            assert phi_up(w, v, outer) == inner_pt
+            outer = borel_from(phi_down(wp, v, inner_pt.rep))
+            assert borel_from(phi_up(w, v, outer)) == inner_pt
+
+
+def phi_up_point(w, v, b):
+    """The point of phi_up's representative."""
+    return borel_from(phi_up(w, v, b))
 
 
 class TestFactorizationReferences:
@@ -134,14 +140,14 @@ class TestFactorizationReferences:
             for kind, sw, swp, arg in reversed(chart.steps):
                 if kind == "peel":
                     peels.append((sw, arg))
-                    b = phi_up(sw, arg, b)
+                    b = phi_up_point(sw, arg, b)
                 else:
-                    b, _ = psi_inv(sw, swp, arg, b)
+                    b, _ = psi_inv(sw, swp, arg, b.rep)
                 walk.append(b)
             for point in walk:
                 assert stratum(point) == ref_stratum(point)
                 for sw, v in peels:
-                    got = self._outcome(phi_up, sw, v, point)
+                    got = self._outcome(phi_up_point, sw, v, point)
                     assert got == self._outcome(ref_phi_up, sw, v, point)
                     wrong_cell += got[0] == "WrongCell"
         assert wrong_cell > 0 or n == 2  # no chart of SL_2 peels
@@ -154,7 +160,8 @@ class TestFactorizationReferences:
                 b = borel_from(random_sl(n, rng))
                 assert stratum(b) == ref_stratum(b)
                 v = rng.choice(weyl.all_perms(n))
-                assert self._outcome(phi_up, e, v, b) == self._outcome(ref_phi_up, e, v, b)
+                assert self._outcome(phi_up_point, e, v, b) == \
+                    self._outcome(ref_phi_up, e, v, b)
 
 
 class TestMarshRietsch:
@@ -196,17 +203,17 @@ class TestMarshRietsch:
 
 class TestPi:
     def test_sl2(self):
-        s1 = weyl.simple(2, 1)
+        s1 = simple(2, 1)
         for a in (Rat(1), Rat(-2), Rat(5, 3)):
             b = borel_from(y_product(2, (1,), (a,)))
-            assert pi(weyl.identity(2), s1, 1, b) == borel_from(rep_weyl(s1))
+            assert ref_pi(weyl.identity(2), s1, 1, b) == borel_from(rep_weyl(s1))
 
     def test_pi_keeps_positive_points_in_left_cell(self):
         rng = random.Random(13)
         w0 = weyl.longest_element(3)
         b, _, _ = positive_point(weyl.identity(3), w0, rng)
         for i in (1, 2):
-            image = pi(weyl.identity(3), w0, i, b)
+            image = ref_pi(weyl.identity(3), w0, i, b)
             assert stratum(image) == \
                 CellIndex(weyl.identity(3), weyl.right_mult_simple(w0, i))
 
@@ -216,18 +223,18 @@ class TestPi:
         e = weyl.identity(3)
         chart = build_chart(e, w0)
         b = eval_chart(chart, (Rat(-10, 7), Rat(-5), Rat(-7, 2)))
-        idx = stratum(pi(e, w0, 2, b))
-        assert idx.w == weyl.simple(3, 2)
+        idx = stratum(ref_pi(e, w0, 2, b))
+        assert idx.w == simple(3, 2)
         assert idx.wp == weyl.right_mult_simple(w0, 2)
 
 
 class TestKeyCharts:
     def test_upper_constant(self):
         word, evaluate = key_chart_upper(weyl.identity(2))
-        assert word == () and evaluate(()) == borel_from(rep_weyl(weyl.simple(2, 1)))
+        assert word == () and evaluate(()) == borel_from(rep_weyl(simple(2, 1)))
 
     def test_upper_sl2(self):
-        s1 = weyl.simple(2, 1)
+        s1 = simple(2, 1)
         word, evaluate = key_chart_upper(s1)
         b = evaluate((Rat(1),))
         assert b == borel_from(mat_mul(x_product(2, (1,), (1,)), rep_weyl(s1)))
@@ -262,10 +269,10 @@ class TestKeyCharts:
 
 class TestPsi:
     def test_sl2_from_base(self):
-        e, s1 = weyl.identity(2), weyl.simple(2, 1)
+        e, s1 = weyl.identity(2), simple(2, 1)
         b_minus = borel_from(rep_weyl(s1))
         for a in (Rat(2), Rat(-1, 3)):
-            b = psi(e, s1, 1, b_minus, a)
+            b = borel_from(psi(e, s1, 1, b_minus.rep, a))
             assert b == borel_from(mat_mul(x_product(2, (1,), (a,)), rep_weyl(s1)))
 
     def test_conjugator_inverse_is_the_reversed_word(self):
@@ -276,12 +283,12 @@ class TestPsi:
                 assert y_mul(word, [1] * len(word), y_inv) == identity_mat(n), w
 
     def test_zero_parameter(self):
-        s1 = weyl.simple(2, 1)
+        s1 = simple(2, 1)
         with pytest.raises(ZeroParameter):
-            psi(weyl.identity(2), s1, 1, borel_from(rep_weyl(s1)), 0)
+            psi(weyl.identity(2), s1, 1, borel_from(rep_weyl(s1)).rep, 0)
 
     def test_diagram_commutes(self):
-        # pi(psi(B, a)) = B for nonzero a of both signs
+        # pi(psi(B, a)) = B for nonzero a of both signs (ref_pi, tests/conftest.py)
         rng = random.Random(17)
         for w, wp in weyl.bruhat_pairs(3):
             for i in range(1, 3):
@@ -291,23 +298,23 @@ class TestPsi:
                 wps = weyl.right_mult_simple(wp, i)
                 b, _, _ = positive_point(w, wps, rng)
                 for a in (rand_rat(rng, positive=True), -rand_rat(rng, positive=True)):
-                    assert pi(w, wp, i, psi(w, wp, i, b, a)) == b
+                    assert ref_pi(w, wp, i, borel_from(psi(w, wp, i, b.rep, a))) == b
 
     def test_positive_extension_is_nonneg(self):
         rng = random.Random(18)
-        w = weyl.simple(3, 2)
+        w = simple(3, 2)
         wp = weyl.longest_element(3)
         wps = weyl.right_mult_simple(wp, 1)
         b, _, _ = positive_point(w, wps, rng)
-        out = psi(w, wp, 1, b, Rat(3, 2))
+        out = borel_from(psi(w, wp, 1, b.rep, Rat(3, 2)))
         assert classify(out).nonneg
 
 
 class TestPsiInv:
     def test_sl2(self):
         b = borel_from(y_product(2, (1,), (1,)))
-        p, a = psi_inv(weyl.identity(2), weyl.simple(2, 1), 1, b)
-        assert p == borel_from(rep_weyl(weyl.simple(2, 1))) and a == 1
+        p, a = psi_inv(weyl.identity(2), simple(2, 1), 1, b.rep)
+        assert p == borel_from(rep_weyl(simple(2, 1))) and a == 1
 
     def test_roundtrip(self):
         rng = random.Random(19)
@@ -319,7 +326,7 @@ class TestPsiInv:
                 wps = weyl.right_mult_simple(wp, i)
                 b, _, _ = positive_point(w, wps, rng)
                 a = rand_rat(rng)
-                out = psi(w, wp, i, b, a)
+                out = psi(w, wp, i, b.rep, a)
                 assert psi_inv(w, wp, i, out) == (b, a)
 
     # each example sweeps every descent pair, so shrinking a failure would
@@ -337,16 +344,18 @@ class TestPsiInv:
                                         max_size=chart.dim))
             b = eval_chart(chart, params)
             a = data.draw(_nonzero_rat)
-            assert psi_inv(w, wp, i, psi(w, wp, i, b, a)) == (b, a)
+            assert psi_inv(w, wp, i, psi(w, wp, i, b.rep, a)) == (b, a)
 
     def test_b_plus_not_in_cell(self):
         with pytest.raises((NotInBigCell, NotInChartImage)):
-            psi_inv(weyl.identity(2), weyl.simple(2, 1), 1, borel_from(identity_mat(2)))
+            psi_inv(weyl.identity(2), simple(2, 1), 1, borel_from(identity_mat(2)).rep)
 
     def test_residual_check_compares_every_entry(self, monkeypatch):
-        # the big-cell witnesses are injected: x_full = x_partial * x_{i'}(a)
-        # is accepted with that a, and changing any entry of x_full other
-        # than (i', i'+1), which only changes a, is rejected
+        # the residual check of ref_psi_inv (tests/conftest.py), which
+        # psi_inv replaces by a construction: the big-cell witnesses are
+        # injected, x_full = x_partial * x_{i'}(a) is accepted with that a,
+        # and changing any entry of x_full other than (i', i'+1), which only
+        # changes a, is rejected
         rng = random.Random(140)
         n = 4
         for w, wp, i in _descent_pairs(n)[::9]:
@@ -369,10 +378,52 @@ class TestPsiInv:
                     patch.setattr(linalg, "opposite_big_cell_factor",
                                   lambda g: next(witnesses))
                     if accepted:
-                        assert psi_inv(w, wp, i, b)[1] == a
+                        assert ref_psi_inv(w, wp, i, b)[1] == a
                     else:
                         with pytest.raises(NotInChartImage):
-                            psi_inv(w, wp, i, b)
+                            ref_psi_inv(w, wp, i, b)
+
+    @staticmethod
+    def _outcome(f, *args):
+        try:
+            return f(*args)
+        except errors.TnnError as exc:
+            return type(exc)
+
+    # psi_inv against ref_psi_inv (tests/conftest.py), which takes pi's point
+    # and a from the residual of a second witness: the same (p, a) or the
+    # same exception class, on every descent pair at n <= 4 with mixed-sign
+    # points, and on random and sparse flags at n <= 5 with their own pair
+    # and every s_i (LengthNotAdditive off the descents) and with a random
+    # descent pair (mostly WrongCell)
+    def test_matches_the_two_witness_reference(self):
+        rng = random.Random(160)
+        cases = []
+        for n in (2, 3, 4):
+            for w, wp, i in _descent_pairs(n):
+                chart = build_chart(w, wp)
+                cases.append((w, wp, i, eval_chart(chart, rand_params(rng, chart.dim))))
+        for n in (2, 3, 4, 5):
+            pairs = _descent_pairs(n)
+            for _ in range(12):
+                for make in (random_sl, sparse_sl):
+                    b = borel_from(make(n, rng))
+                    idx = stratum(b)
+                    cases += [(idx.w, idx.wp, i, b) for i in range(1, n)]
+                    cases.append(rng.choice(pairs) + (b,))
+        outcomes = Counter()
+        for w, wp, i, b in cases:
+            got = self._outcome(psi_inv, w, wp, i, b.rep)
+            assert got == self._outcome(ref_psi_inv, w, wp, i, b), (w, wp, i, b)
+            if got is NotInBigCell:
+                # the first witness missing, or a zero denominator: the
+                # second witness of ref_psi_inv missing
+                with pytest.raises(NotInBigCell) as caught:
+                    psi_inv(w, wp, i, b.rep)
+                got = "zero denominator" if "inner" in str(caught.value) else got
+            outcomes[got if not isinstance(got, tuple) else "ok"] += 1
+        assert set(outcomes) == {"ok", NotInBigCell, "zero denominator", WrongCell,
+                                 errors.LengthNotAdditive}
 
 
 class TestBasePoints:
@@ -394,13 +445,13 @@ class TestBasePoints:
 
 class TestCharts:
     def test_base_chart(self):
-        w = weyl.simple(3, 1)
+        w = simple(3, 1)
         chart = build_chart(w, w)
         assert chart.steps == () and chart.base == w and chart.dim == 0
         assert eval_chart(chart, ()) == base_point(w)
 
     def test_sl2_chart(self):
-        chart = build_chart(weyl.identity(2), weyl.simple(2, 1))
+        chart = build_chart(weyl.identity(2), simple(2, 1))
         assert chart.dim == 1
         assert chart.base == weyl.identity(2)
         assert [step[0] for step in chart.steps] == ["extend"]
@@ -413,7 +464,7 @@ class TestCharts:
             assert chart.dim == weyl.length(wp) - weyl.length(w)
 
     def test_param_validation(self):
-        chart = build_chart(weyl.identity(2), weyl.simple(2, 1))
+        chart = build_chart(weyl.identity(2), simple(2, 1))
         with pytest.raises(ParamCountMismatch):
             eval_chart(chart, ())
         with pytest.raises(ZeroParameter):
@@ -422,7 +473,7 @@ class TestCharts:
     @pytest.mark.parametrize("value", [0.1, True])
     def test_inexact_parameter(self, value):
         # the arithmetic stays exact: floats and bools are refused, as in the CLI
-        chart = build_chart(weyl.identity(2), weyl.simple(2, 1))
+        chart = build_chart(weyl.identity(2), simple(2, 1))
         with pytest.raises(ValueError):
             eval_chart(chart, (value,))
 
@@ -437,7 +488,7 @@ class TestCharts:
                 assert eval_chart(chart, params) == b
 
     def test_wrong_stratum(self):
-        chart = build_chart(weyl.identity(2), weyl.simple(2, 1))
+        chart = build_chart(weyl.identity(2), simple(2, 1))
         with pytest.raises(WrongStratum):
             invert_chart(chart, borel_from(identity_mat(2)))
 
@@ -680,8 +731,8 @@ class TestEquivariance:
                 b, _, _ = positive_point(w, wpv_full, rng)
                 yw = conjugator_word(w)
                 y = y_product(n, yw, rand_params(rng, len(yw), positive=True))
-                lhs = phi_down(u, v, borel_from(mat_mul(y, b.rep)))
-                rhs = borel_from(mat_mul(y, phi_down(u, v, b).rep))
+                lhs = borel_from(phi_down(u, v, mat_mul(y, b.rep)))
+                rhs = borel_from(mat_mul(y, phi_down(u, v, b.rep)))
                 assert lhs == rhs
                 checked += 1
         assert checked > 20
@@ -820,7 +871,7 @@ class TestOneWalkRoundTrip:
     def _round_trips(w, wp, v, outer):
         """phi_down(w', v, phi_up(w, v, outer)) == outer, False on WrongCell."""
         try:
-            return phi_down(wp, v, phi_up(w, v, outer)) == outer
+            return borel_from(phi_down(wp, v, phi_up(w, v, outer))) == outer
         except WrongCell:
             return False
 
@@ -839,7 +890,7 @@ class TestOneWalkRoundTrip:
             for step in chart.links():
                 sw, swp = step.index.w, step.index.wp
                 if step.kind == "extend":
-                    b, _ = psi_inv(sw, swp, step.arg, b)
+                    b, _ = psi_inv(sw, swp, step.arg, b.rep)
                     continue
                 upper = rng.choice([u for x, u in pairs if x == sw])
                 others = [borel_from(cell_point(weyl.multiply(w0, sw), rng)),
@@ -850,11 +901,11 @@ class TestOneWalkRoundTrip:
                     check = opposite_position(outer) == swp
                     assert check == self._round_trips(sw, swp, step.arg, outer)
                     outcomes[kind].add(check)
-                b = phi_up(sw, step.arg, b)
+                b = phi_up_point(sw, step.arg, b)
         assert outcomes == {"walk": {True}, "random": {True, False}}
 
     # peel(2,1,3) -> extend(s2) -> peel(1,3,2) -> extend(s1) -> base: the
-    # outer peel checks the flag itself, the inner one pi's output
+    # outer peel checks the flag itself, the inner one psi_inv's output
     CHART = ((1, 2, 3), (2, 3, 1))
 
     @staticmethod
@@ -885,22 +936,61 @@ class TestOneWalkRoundTrip:
             points.append(b)
         return chart, points
 
+    @staticmethod
+    def _corrupt_parameter(patch, step):
+        """Shift the a that psi_inv recovers at ``step`` by 1/1000 before it
+        builds the inner point.  That moves the inner point along the fibre
+        of psi: psi(inner, a + 1/1000) is still the outer point, but the
+        inner point is no longer at w's from B^-."""
+        real_psi_inv, real_parameter = richardson.psi_inv, richardson._extend_parameter
+        at_step = [False]
+
+        def psi_inv(w, wp, s_index, g):
+            at_step[0] = (w, wp, s_index) == (step.index.w, step.index.wp, step.arg)
+            return real_psi_inv(w, wp, s_index, g)
+
+        def _extend_parameter(x, ip, rows):
+            a = real_parameter(x, ip, rows)
+            return a + Rat(1, 1000) if at_step[0] else a
+
+        patch.setattr(richardson, "psi_inv", psi_inv)
+        patch.setattr(richardson, "_extend_parameter", _extend_parameter)
+
     def test_a_corrupted_pi_output_is_an_internal_inconsistency(self, monkeypatch, capsys):
+        # the inner point of the extend step inside the inner peel (pi's
+        # output in the name), corrupted through its parameter
         chart, points = self._points()
-        real_pi = richardson.pi
         (step,) = [s for s in chart.links() if s.kind == "extend" and s.inner.kind == "peel"]
-
-        def pi(w, wp, s_index, b):
-            p = real_pi(w, wp, s_index, b)
-            if (w, wp, s_index) != (step.index.w, step.index.wp, step.arg):
-                return p
-            # moved along the fibre of psi: psi_inv's residual check still
-            # passes, with a - 1/1000, but the point is not at w's from B^-
-            return psi(w, step.inner.index.wp, s_index, p, Rat(1, 1000))
-
-        monkeypatch.setattr(richardson, "pi", pi)
+        self._corrupt_parameter(monkeypatch, step)
         for b in points:
             self._assert_internal_error(chart, b, monkeypatch, capsys)
+
+    # every extend step of every chart at n <= 4, on a positive and a
+    # mixed-sign point: the next step, a peel or the base (no extend follows
+    # an extend), catches the shifted a, so no verdict has coordinates
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_a_corrupted_parameter_never_gives_coordinates(self, monkeypatch, n):
+        rng = random.Random(150 + n)
+        caught = set()
+        for w, wp in weyl.bruhat_pairs(n):
+            chart = build_chart(w, wp)
+            points = [eval_chart(chart, rand_params(rng, chart.dim, positive=positive))
+                      for positive in (True, False)]
+            for step in chart.links():
+                if step.kind != "extend":
+                    continue
+                with monkeypatch.context() as patch:
+                    self._corrupt_parameter(patch, step)
+                    for b in points:
+                        try:
+                            result = classify(b)
+                        except InternalInconsistency:
+                            caught.add("InternalInconsistency")
+                            continue
+                        assert result.coords == () and not result.nonneg, (step.index, result)
+                        caught.add(result.reason)
+        assert caught == ({"NotInChartImage"} if n == 2 else
+                          {"InternalInconsistency", "NotInChartImage"})
 
     @pytest.mark.parametrize("depth", [0, 2], ids=["outer-peel", "inner-peel"])
     def test_a_corrupted_position_check_is_an_internal_inconsistency(
@@ -917,3 +1007,62 @@ class TestOneWalkRoundTrip:
         monkeypatch.setattr(richardson, "opposite_position", opposite_position)
         for b in points:
             self._assert_internal_error(chart, b, monkeypatch, capsys)
+
+
+class TestWalkCost:
+    """The chart walks' cost pinned as counts: n x n integer echelons
+    (``linalg._integer_echelon``; psi_inv reads its two minors from one
+    elimination of its own) and canonical points (``borel_from``)."""
+
+    @staticmethod
+    def _counter(monkeypatch, n):
+        counts = Counter()
+        real_echelon, real_borel_from = linalg._integer_echelon, richardson.borel_from
+
+        def echelon(g):
+            counts["echelon"] += len(g) == n
+            return real_echelon(g)
+
+        def borel_from_counted(g):
+            counts["borel_from"] += 1
+            return real_borel_from(g)
+
+        monkeypatch.setattr(linalg, "_integer_echelon", echelon)
+        monkeypatch.setattr(richardson, "borel_from", borel_from_counted)
+        return counts
+
+    def test_eval_chart_builds_one_point(self, monkeypatch):
+        rng = random.Random(170)
+        for n in (2, 3, 4):
+            for w, wp in weyl.bruhat_pairs(n):
+                chart = build_chart(w, wp)
+                base_point(chart.base)
+                with monkeypatch.context() as patch:
+                    counts = self._counter(patch, n)
+                    eval_chart(chart, rand_params(rng, chart.dim))
+                assert counts["borel_from"] == 1, (w, wp)
+
+    def test_open_cell_at_n6(self, monkeypatch):
+        n = 6
+        chart = build_chart(weyl.identity(n), weyl.longest_element(n))
+        assert (chart.dim, sum(s.kind == "peel" for s in chart.links())) == (15, 14)
+        params = rand_params(random.Random(171), chart.dim)
+        base_point(chart.base)
+        counts = self._counter(monkeypatch, n)
+        b = eval_chart(chart, params)
+        # a witness per extend, a Bruhat factor per peel, the point
+        assert counts == {"echelon": 15 + 14 + 1, "borel_from": 1}
+        counts.clear()
+        assert classify(b).coords == params
+        # the stratum; per peel its B^- check; per extend its B^- check, the
+        # witness and the inner point
+        assert counts == {"echelon": 1 + 14 + 3 * 15, "borel_from": 15}
+
+    # _invert hands phi_up's representative to psi_inv as it is: every peel
+    # reaches a pair with no common ascent, whose step is an extend
+    def test_a_peel_is_followed_by_an_extend(self):
+        for n in range(2, 6):
+            table = richardson.ChartTable()
+            for w, wp in weyl.bruhat_pairs(n):
+                for step in table.chart(w, wp).links():
+                    assert step.kind == "extend" or step.inner.kind == "extend"

@@ -5,14 +5,15 @@ import random
 import pytest
 
 from conftest import (
-    dominance_table, ref_bruhat_leq, ref_find_descent_pair, ref_peel, subword_leq,
+    dominance_table, ref_bruhat_leq, ref_find_descent_pair, ref_peel, simple,
+    subword_leq,
 )
 from tnnflag import weyl
 from tnnflag.errors import NoDescentPair, NotComparable, RankMismatch, RankTooLarge
 
 
 def s(n, i):
-    return weyl.simple(n, i)
+    return simple(n, i)
 
 
 class TestMultiply:

@@ -94,12 +94,18 @@ def _in_semigroup_cell(u: Mat, w: Perm) -> bool:
         return False
 
 
+# 0.065-0.1 s a sample at n = 4, so the bound is over ten minutes of sampling
+MAX_SAMPLES = 10_000
+
+
 def _check_arguments(n: int, samples: int) -> None:
     """The checks both audits make first, before their own rank bounds."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
 
 
 def audit_decomposition(n: int, samples: int, seed: int) -> AuditReport:

@@ -6,8 +6,9 @@ non-det-1 input matrix, 7 internal error (a contract that holds by
 construction was violated).
 
 Rationals, as matrix entries or in --params, are integers, 'p/q' strings
-or plain decimals such as '-1.25'.  JSON booleans, JSON floats and
-exponent notation such as '1e2' exit 5.
+or plain decimals such as '-1.25', with surrounding whitespace allowed.
+JSON booleans, JSON floats, exponent notation such as '1e2' and digit
+separators such as '1_0' exit 5.  audit --samples takes 0..10000.
 """
 
 from __future__ import annotations
@@ -203,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="run the decomposition and semigroup audits")
     p.add_argument("--n", type=int, required=True,
                    help="rank, 2..4: the decomposition audit stops at n = 4")
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=int, default=20,
+                   help=f"samples per task, 0..{audit.MAX_SAMPLES}")
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_audit)

@@ -88,15 +88,16 @@ class CellIndex:
         return {"w": weyl.perm_to_str(self.w), "wp": weyl.perm_to_str(self.wp)}
 
 
-def opposite_position(b: BorelPt) -> Perm:
-    """The w' with B^- --w'--> b: B^- is rep_weyl(w0) * B^+ and rep_weyl(w0)^{-1}
-    is +-rep_weyl(w0), so w' is the position of rep_weyl(w0) * rep from B^+."""
-    return linalg.bruhat_cell(weyl_mul(weyl.longest_element(b.n), b.rep))
+def opposite_position(g: Mat) -> Perm:
+    """The w' with B^- --w'--> g * B^+, for any representative g: B^- is
+    rep_weyl(w0) * B^+ and rep_weyl(w0)^{-1} is +-rep_weyl(w0), so w' is the
+    position of rep_weyl(w0) * g from B^+."""
+    return linalg.bruhat_cell(weyl_mul(weyl.longest_element(len(g)), g))
 
 
 def stratum(b: BorelPt) -> CellIndex:
     """The (w, w') with b in R_{w,w'}: w from the B^+ side, w0 times the
     stored position, and w' from the B^- side, the ``opposite_position``."""
     w = weyl.multiply(weyl.longest_element(b.n), b.position)
-    return CellIndex(w, opposite_position(b))
+    return CellIndex(w, opposite_position(b.rep))
 

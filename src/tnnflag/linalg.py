@@ -50,14 +50,16 @@ ONE = Rat(1)
 
 def rat(value) -> "Rat":
     """Coerce an int, a rational, or a string 'p', 'p/q' or plain decimal
-    such as '-1.25' to the exact rational type.
+    such as '-1.25', with surrounding whitespace allowed, to the exact
+    rational type.
 
     Anything else raises ValueError: a zero denominator, a bool, a float
-    (inexact by definition), and exponent notation such as '1e2', whose
-    parse time grows with the exponent.
+    (inexact by definition), exponent notation such as '1e2', whose parse
+    time grows with the exponent, and digit separators such as '1_0', which
+    ``Fraction`` accepts only from Python 3.11 on.
     """
     if isinstance(value, bool) or not isinstance(value, (int, str, Rat)) or (
-            isinstance(value, str) and "e" in value.lower()):
+            isinstance(value, str) and ("e" in value.lower() or "_" in value)):
         raise ValueError(f"not an exact rational: {value!r}")
     try:
         return Rat(value)

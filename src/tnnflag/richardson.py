@@ -28,6 +28,8 @@ B^- --w'--> b_k, which is equivalent to phi_down(w', v, b_{k-1}) == b_k.  It
 holds by induction: b_m by the stratum check of classify and invert_chart,
 a peel step's inner point at w'v by the same fact, an extend step's as
 psi_inv places it at w's; so a failed check is an InternalInconsistency.
+The same induction places each extend step's input, so the walk calls
+``_psi_inv_with``, which reads that position instead of checking it.
 eval_chart folds the same maps outward from the same base point, so by
 induction on k it reaches b_k at every step and eval_chart(coords) == b.
 phi_down, psi and psi_inv take any representative: eval_chart builds one point.
@@ -127,16 +129,16 @@ def psi(w: Perm, wp: Perm, s_index: int, g: Mat, a) -> Mat:
     return _psi_with(conjugator_word(w), s_index, g, a)
 
 
-def _psi_inv_with(
-    y_word: Word, w: Perm, wp: Perm, s_index: int, g: Mat
-) -> tuple[BorelPt, "Rat"]:
+def _psi_inv_with(y_word: Word, wp: Perm, s_index: int, g: Mat) -> tuple[BorelPt, "Rat"]:
+    """psi_inv by the conjugator y_word of w, with none of its input checks.
+
+    The walk has proved each one: the descent pair when the chart was built
+    (``weyl.find_descent_pair``), and g at w' from B^- by the stratum check
+    for the outermost step; for an inner step, the peel check places the
+    peel's outer point at w'' from B^-, so phi_up's translate by v is at
+    w''v = w' (Tits, module docstring).
+    """
     n = len(g)
-    if not weyl.is_right_ascent(w, s_index):
-        raise LengthNotAdditive(f"s_{s_index} does not lengthen {w}")
-    if weyl.is_right_ascent(wp, s_index):
-        raise LengthNotAdditive(f"s_{s_index} does not shorten {wp}")
-    if (u := linalg.bruhat_cell(weyl_mul(weyl.longest_element(n), g))) != wp:
-        raise WrongCell(f"point is at position {u} from B^-, expected {wp}")
     x = linalg.opposite_big_cell_factor(y_mul(y_word, (ONE,) * len(y_word), g))
     a = _extend_parameter(x, n - s_index, [n - wp[k] for k in range(s_index)])
     if a == 0:
@@ -185,8 +187,17 @@ def psi_inv(w: Perm, wp: Perm, s_index: int, g: Mat) -> tuple[BorelPt, "Rat"]:
     the point at w's; a zero denominator leaves it the one no q(c) reaches,
     outside the big cell after y, so that y * p has no witness.  The next
     step (a peel's checks or the base point) places p in R_{w,w's}.
+
+    Checks the descent pair (LengthNotAdditive) and then g's position
+    (WrongCell), which ``_invert`` reads from its induction instead.
     """
-    return _psi_inv_with(conjugator_word(w), w, wp, s_index, g)
+    if not weyl.is_right_ascent(w, s_index):
+        raise LengthNotAdditive(f"s_{s_index} does not lengthen {w}")
+    if weyl.is_right_ascent(wp, s_index):
+        raise LengthNotAdditive(f"s_{s_index} does not shorten {wp}")
+    if (u := opposite_position(g)) != wp:
+        raise WrongCell(f"point is at position {u} from B^-, expected {wp}")
+    return _psi_inv_with(conjugator_word(w), wp, s_index, g)
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +361,19 @@ def _invert(chart: Chart, b: BorelPt) -> tuple:
     one walk that proves each step: an extend by construction (psi_inv), a
     peel by B^- --w'--> outer, equivalent to phi_down(w', v, inner) == outer,
     by induction on the walk (module docstring), else InternalInconsistency.
-    A peel's inner step is an extend, which takes phi_up's representative."""
+    A peel's inner step is an extend, which takes phi_up's representative;
+    an extend skips psi_inv's input checks, which the chart and the same
+    induction prove (``_psi_inv_with``)."""
     coords, g = [], b.rep
     for step in chart.links():
         w, wp = step.index.w, step.index.wp
         if step.kind == "peel":
-            if (u := opposite_position(b)) != wp:
+            if (u := opposite_position(b.rep)) != wp:
                 raise InternalInconsistency(
                     f"peel onto {step.index}: point is at {u} from B^-, expected {wp}")
             g = phi_up(w, step.arg, b)
         else:
-            b, a = psi_inv(w, wp, step.arg, g)
+            b, a = _psi_inv_with(conjugator_word(w), wp, step.arg, g)
             g = b.rep
             coords.append(a)
     if b != base_point(chart.base):

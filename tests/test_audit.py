@@ -219,6 +219,24 @@ class TestSampleCount:
         with pytest.raises(ValueError):
             audit_fn(n, 1, 0)
 
+    @pytest.mark.parametrize("audit_fn", [audit_decomposition, audit_semigroup])
+    def test_more_than_the_bound_rejected_before_sampling(self, audit_fn, monkeypatch):
+        def sample(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(audit, "sample_tnn_flag", sample)
+        monkeypatch.setattr(audit, "y_product", sample)
+        with pytest.raises(ValueError, match="^samples must be at most 10000, got 10001$"):
+            audit_fn(2, 10_001, 0)
+        # before the rank bound, as the CLI reports it
+        with pytest.raises(ValueError):
+            audit_fn(6, 10_001, 0)
+
+    # the bound itself is accepted; running it would take minutes
+    def test_the_bound_passes_the_check(self):
+        assert audit.MAX_SAMPLES == 10_000
+        audit._check_arguments(4, audit.MAX_SAMPLES)
+
     def test_zero_samples_run_no_sample(self):
         assert audit_semigroup(2, 0, 0).samples_total == 0
         # only the census and round-trip records of the 3 cells of SL_2

@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tnnflag import linalg, richardson, weyl
+from tnnflag import audit, linalg, richardson, weyl
 from tnnflag.cli import main
 from tnnflag.errors import InternalInconsistency
 
@@ -129,6 +129,13 @@ class TestEval:
         assert code == 5
         assert out == "" and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("params", ["1_0", "1/1_0", "0.2_5"])
+    def test_digit_separator_param(self, capsys, params):
+        code, out, err = run_err(capsys, "eval", "--n", "2", "--w", "1,2",
+                                 "--wp", "2,1", "--params", params)
+        assert code == 5
+        assert out == "" and err == f"not an exact rational: {params!r}\n"
+
     def test_decimal_param(self, capsys):
         code, out = run(capsys, "eval", "--n", "2", "--w", "1,2",
                         "--wp", "2,1", "--params", "0.25")
@@ -189,19 +196,28 @@ class TestClassify:
         assert code == 5
         assert out == "" and len(err.splitlines()) == 1
 
-    # booleans and floats are not exact rationals, and exponent notation
-    # costs time that grows with the exponent
+    # booleans and floats are not exact rationals, exponent notation
+    # costs time that grows with the exponent, and Fraction reads digit
+    # separators only from Python 3.11 on
     @pytest.mark.parametrize("text", [
         "[[true,0],[0,1]]",
         "[[2.0,0],[0,0.5]]",
         '[["1e2","0"],["0","1/100"]]',
-    ], ids=["bool", "float", "exponent"])
+        '[["1_0","0"],["0","1/10"]]',
+    ], ids=["bool", "float", "exponent", "digit-separator"])
     def test_inexact_entry(self, capsys, tmp_path, text):
         f = tmp_path / "m.json"
         f.write_text(text)
         code, out, err = run_err(capsys, "classify", str(f))
         assert code == 5
         assert out == "" and len(err.splitlines()) == 1
+
+    def test_entries_with_surrounding_whitespace(self, capsys, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text('[[" 1 ","0"],["\\t0.5\\n","1.0"]]')
+        code, out = run(capsys, "classify", str(f))
+        assert code == 0
+        assert json.loads(out)["coords"] == ["2"]
 
     def test_integer_and_decimal_entries(self, capsys, tmp_path):
         f = tmp_path / "m.json"
@@ -312,6 +328,19 @@ class TestAudit:
         code, out, err = run_err(capsys, "audit", "--n", "5", "--samples", "-3")
         assert code == 5
         assert out == "" and err == "samples must be nonnegative, got -3\n"
+
+    # refused before any sample is drawn, also for a count that would
+    # otherwise run until killed
+    @pytest.mark.parametrize("samples", ["10001", "99999999999999999999"])
+    def test_samples_above_the_bound(self, capsys, monkeypatch, samples):
+        def sample(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(audit, "sample_tnn_flag", sample)
+        monkeypatch.setattr(audit, "y_product", sample)
+        code, out, err = run_err(capsys, "audit", "--n", "2", "--samples", samples)
+        assert code == 5
+        assert out == "" and err == f"samples must be at most 10000, got {samples}\n"
 
     def test_zero_samples(self, capsys):
         code, out = run(capsys, "audit", "--n", "2", "--samples", "0")

@@ -380,12 +380,16 @@ class TestSerialization:
     @pytest.mark.parametrize("value, expected", [
         (3, Rat(3)), ("-7/21", Rat(-1, 3)), (" 12 ", Rat(12)), ("-1.25", Rat(-5, 4)),
         (".5", Rat(1, 2)), (Rat(2, 3), Rat(2, 3)),
+        # surrounding whitespace, as Fraction reads it
+        (" 3/4", Rat(3, 4)), ("3/4\n", Rat(3, 4)), ("\t-1.25 ", Rat(-5, 4)),
     ])
     def test_rat_accepts(self, value, expected):
         assert linalg.rat(value) == expected
 
     @pytest.mark.parametrize("value", [
         True, False, 2.0, 0.5, "1e2", "1E2", "2.5e-1", "1/0", None, [1],
+        # digit separators, which Fraction accepts only from Python 3.11 on
+        "1_0", "1_000/3", "1/1_0", "0.2_5", " 1_0 ",
     ])
     def test_rat_rejects(self, value):
         with pytest.raises(ValueError):

@@ -346,6 +346,20 @@ class TestPsiInv:
             a = data.draw(_nonzero_rat)
             assert psi_inv(w, wp, i, psi(w, wp, i, b.rep, a)) == (b, a)
 
+    # the public entry checks the descent pair and then the input's
+    # position; on an input that fails both, the descent check wins
+    def test_checks_the_descent_pair_before_the_position(self):
+        n = 3
+        g = identity_mat(n)  # B^+, at w0 from B^-
+        s1, s2 = simple(n, 1), simple(n, 2)
+        with pytest.raises(errors.LengthNotAdditive, match="does not lengthen"):
+            psi_inv(s1, s2, 1, g)
+        with pytest.raises(errors.LengthNotAdditive, match="does not shorten"):
+            psi_inv(weyl.identity(n), s2, 1, g)
+        with pytest.raises(WrongCell, match=r"^point is at position \(3, 2, 1\) from B\^-, "
+                                            r"expected \(2, 1, 3\)$"):
+            psi_inv(weyl.identity(n), s1, 1, g)
+
     def test_b_plus_not_in_cell(self):
         with pytest.raises((NotInBigCell, NotInChartImage)):
             psi_inv(weyl.identity(2), simple(2, 1), 1, borel_from(identity_mat(2)).rep)
@@ -898,7 +912,7 @@ class TestOneWalkRoundTrip:
                                      rand_params(rng, weyl.length(upper) - weyl.length(sw)))]
                 for kind, outer in [("walk", b)] + [("random", o) for o in others]:
                     assert outer.position == weyl.multiply(w0, sw)
-                    check = opposite_position(outer) == swp
+                    check = opposite_position(outer.rep) == swp
                     assert check == self._round_trips(sw, swp, step.arg, outer)
                     outcomes[kind].add(check)
                 b = phi_up_point(sw, step.arg, b)
@@ -938,22 +952,24 @@ class TestOneWalkRoundTrip:
 
     @staticmethod
     def _corrupt_parameter(patch, step):
-        """Shift the a that psi_inv recovers at ``step`` by 1/1000 before it
-        builds the inner point.  That moves the inner point along the fibre
-        of psi: psi(inner, a + 1/1000) is still the outer point, but the
-        inner point is no longer at w's from B^-."""
-        real_psi_inv, real_parameter = richardson.psi_inv, richardson._extend_parameter
+        """Shift the a that the walk's psi_inv recovers at ``step`` by 1/1000
+        before it builds the inner point.  That moves the inner point along
+        the fibre of psi: psi(inner, a + 1/1000) is still the outer point,
+        but the inner point is no longer at w's from B^-."""
+        real_psi_inv, real_parameter = richardson._psi_inv_with, richardson._extend_parameter
         at_step = [False]
+        # the conjugator word determines w
+        key = (richardson.conjugator_word(step.index.w), step.index.wp, step.arg)
 
-        def psi_inv(w, wp, s_index, g):
-            at_step[0] = (w, wp, s_index) == (step.index.w, step.index.wp, step.arg)
-            return real_psi_inv(w, wp, s_index, g)
+        def _psi_inv_with(y_word, wp, s_index, g):
+            at_step[0] = (y_word, wp, s_index) == key
+            return real_psi_inv(y_word, wp, s_index, g)
 
         def _extend_parameter(x, ip, rows):
             a = real_parameter(x, ip, rows)
             return a + Rat(1, 1000) if at_step[0] else a
 
-        patch.setattr(richardson, "psi_inv", psi_inv)
+        patch.setattr(richardson, "_psi_inv_with", _psi_inv_with)
         patch.setattr(richardson, "_extend_parameter", _extend_parameter)
 
     def test_a_corrupted_pi_output_is_an_internal_inconsistency(self, monkeypatch, capsys):
@@ -992,6 +1008,40 @@ class TestOneWalkRoundTrip:
         assert caught == ({"NotInChartImage"} if n == 2 else
                           {"InternalInconsistency", "NotInChartImage"})
 
+    # phi_up returning its input untranslated on every chart with a peel at
+    # n <= 4, on a positive and a mixed-sign point (v != id, so the inner
+    # point is wrong): the next extend reads its input's position from the
+    # walk's induction, so a later check catches the fault and no verdict
+    # has coordinates
+    def test_a_corrupted_translate_never_gives_coordinates(self, monkeypatch):
+        rng = random.Random(180)
+        real = richardson.phi_up
+
+        def untranslated(w, v, b):
+            real(w, v, b)
+            return b.rep
+
+        caught = Counter()
+        for n in (3, 4):
+            for w, wp in weyl.bruhat_pairs(n):
+                chart = build_chart(w, wp)
+                if all(step.kind != "peel" for step in chart.links()):
+                    continue
+                points = [eval_chart(chart, rand_params(rng, chart.dim, positive=positive))
+                          for positive in (True, False)]
+                with monkeypatch.context() as patch:
+                    patch.setattr(richardson, "phi_up", untranslated)
+                    for b in points:
+                        try:
+                            result = classify(b)
+                        except InternalInconsistency:
+                            caught["InternalInconsistency"] += 1
+                            continue
+                        assert result.coords == () and not result.nonneg, (w, wp, result)
+                        caught[result.reason] += 1
+        assert sum(caught.values()) == 2 * 187
+        assert set(caught) == {"InternalInconsistency", "NotInBigCell", "NotInChartImage"}
+
     @pytest.mark.parametrize("depth", [0, 2], ids=["outer-peel", "inner-peel"])
     def test_a_corrupted_position_check_is_an_internal_inconsistency(
             self, monkeypatch, capsys, depth):
@@ -1000,9 +1050,9 @@ class TestOneWalkRoundTrip:
         assert step.kind == "peel"
         real = richardson.opposite_position
 
-        def opposite_position(b):
-            u = real(b)
-            return weyl.longest_element(b.n) if u == step.index.wp else u
+        def opposite_position(g):
+            u = real(g)
+            return weyl.longest_element(len(g)) if u == step.index.wp else u
 
         monkeypatch.setattr(richardson, "opposite_position", opposite_position)
         for b in points:
@@ -1052,11 +1102,15 @@ class TestWalkCost:
         b = eval_chart(chart, params)
         # a witness per extend, a Bruhat factor per peel, the point
         assert counts == {"echelon": 15 + 14 + 1, "borel_from": 1}
+        # the stratum; per peel its B^- check; per extend the witness and the
+        # inner point (the walk's induction places each extend's input)
+        walk = {"echelon": 1 + 14 + 2 * 15, "borel_from": 15}
         counts.clear()
         assert classify(b).coords == params
-        # the stratum; per peel its B^- check; per extend its B^- check, the
-        # witness and the inner point
-        assert counts == {"echelon": 1 + 14 + 3 * 15, "borel_from": 15}
+        assert counts == walk
+        counts.clear()
+        assert invert_chart(chart, b) == params
+        assert counts == walk
 
     # _invert hands phi_up's representative to psi_inv as it is: every peel
     # reaches a pair with no common ascent, whose step is an extend

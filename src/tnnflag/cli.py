@@ -5,10 +5,10 @@ count mismatch, 4 zero parameter, 5 parse or usage error, 6 singular or
 non-det-1 input matrix, 7 internal error (a contract that holds by
 construction was violated).
 
-Rationals, as matrix entries or in --params, are integers, 'p/q' strings
-or plain decimals such as '-1.25', with surrounding whitespace allowed.
-JSON booleans, JSON floats, exponent notation such as '1e2' and digit
-separators such as '1_0' exit 5.  audit --samples takes 0..10000.
+Rationals, as matrix entries or in --params, are ASCII integers, 'p/q'
+strings or plain decimals such as '-1.25', with surrounding ASCII
+whitespace allowed.  JSON booleans and floats, exponents such as '1e2',
+'_' and non-ASCII characters in any number exit 5.  --samples: 0..10000.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def _check_rank(n: int) -> None:
 
 def _parse_perm(n: int, text: str, fmt: str) -> weyl.Perm:
     if fmt == "word":
-        letters = [int(tok.lstrip("s")) for tok in text.replace(",", " ").split()]
+        letters = [weyl.ascii_int(t.lstrip("s")) for t in text.replace(",", " ").split()]
         return weyl.word_to_perm(n, letters)
     w = weyl.perm_from_str(text)
     if len(w) != n:
@@ -61,9 +61,9 @@ def _parse_perm(n: int, text: str, fmt: str) -> weyl.Perm:
 
 
 def _parse_params(text: str) -> list:
-    if not text.strip():
+    if text.isascii() and not text.strip():  # rat refuses non-ASCII spaces
         return []
-    return [linalg.rat(tok.strip()) for tok in text.split(",")]
+    return [linalg.rat(tok) for tok in text.split(",")]
 
 
 def _open_output(args):
@@ -182,12 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default="-", help="output path, '-' for stdout")
 
     p = sub.add_parser("cells", help="list all cells with chart summaries")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=weyl.ascii_int, required=True)
     common(p)
     p.set_defaults(func=cmd_cells)
 
     p = sub.add_parser("eval", help="evaluate a chart on given parameters")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=weyl.ascii_int, required=True)
     p.add_argument("--w", required=True)
     p.add_argument("--wp", required=True)
     p.add_argument("--params", default="", help="comma-separated rationals; "
@@ -202,11 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("audit", help="run the decomposition and semigroup audits")
-    p.add_argument("--n", type=int, required=True,
+    p.add_argument("--n", type=weyl.ascii_int, required=True,
                    help="rank, 2..4: the decomposition audit stops at n = 4")
-    p.add_argument("--samples", type=int, default=20,
+    p.add_argument("--samples", type=weyl.ascii_int, default=20,
                    help=f"samples per task, 0..{audit.MAX_SAMPLES}")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=weyl.ascii_int, default=0)
     common(p)
     p.set_defaults(func=cmd_audit)
 

@@ -17,15 +17,15 @@ Bruhat factorization g = b1 * rep(w) * b2 with b1 in U_w and b2 upper
 triangular, whose b1 is the unitriangular witness of a Borel opposite to
 B^- when w = w0.  It is fraction-free: it clears denominators column by
 column, eliminates on Python ints by cross-multiplication with content
-removal, and proves its result in integers before it converts c back to
-rationals.  That proof is the reconstruction check of the Bruhat
-factorization as well.  ``det`` reads its pivot product and
-``bruhat_cell`` its pivots without rebuilding c, so every nonzero
-determinant and every Bruhat cell carries the proof; a singular verdict,
-and so a zero determinant, carries a proved integer kernel vector
-instead.  To read every square minor at once, ``integer_minors`` expands
-them all by Laplace on the same cleared integer columns, the definition
-of the determinant, with no elimination.
+removal, and proves its result in integers from the elimination's own
+multipliers before it converts c back to rationals.  That proof is the
+reconstruction check of the Bruhat factorization as well.  ``det`` reads
+its pivot product and ``bruhat_cell`` its pivots without rebuilding c, so
+every nonzero determinant and every Bruhat cell carries the proof; a
+singular verdict, and so a zero determinant, carries a proved integer
+combination of the earlier columns instead.  To read every square minor
+at once, ``integer_minors`` expands them all by Laplace on the same
+cleared integer columns, the definition of the determinant.
 """
 
 from __future__ import annotations
@@ -49,17 +49,19 @@ ONE = Rat(1)
 
 
 def rat(value) -> "Rat":
-    """Coerce an int, a rational, or a string 'p', 'p/q' or plain decimal
-    such as '-1.25', with surrounding whitespace allowed, to the exact
-    rational type.
+    """Coerce an int, a rational, or an ASCII string 'p', 'p/q' or plain
+    decimal such as '-1.25', with surrounding whitespace allowed, to the
+    exact rational type.
 
     Anything else raises ValueError: a zero denominator, a bool, a float
     (inexact by definition), exponent notation such as '1e2', whose parse
-    time grows with the exponent, and digit separators such as '1_0', which
-    ``Fraction`` accepts only from Python 3.11 on.
+    time grows with the exponent, digit separators such as '1_0' (read by
+    ``Fraction`` from Python 3.11 on) and non-ASCII text (any Unicode digit
+    or space reads as its ASCII twin).
     """
     if isinstance(value, bool) or not isinstance(value, (int, str, Rat)) or (
-            isinstance(value, str) and ("e" in value.lower() or "_" in value)):
+            isinstance(value, str) and (not value.isascii() or "e" in value.lower()
+                                        or "_" in value)):
         raise ValueError(f"not an exact rational: {value!r}")
     try:
         return Rat(value)
@@ -224,14 +226,13 @@ def column_echelon(g: Mat) -> tuple[Mat, Perm, "Rat"]:
     The elimination runs on Python ints.  G = g * D clears the
     denominators of each column (D diagonal).  Column j is reduced against
     the finished columns by cross-multiplication and divided by its
-    content, signed so that its pivot is positive; this is the primitive
-    integer column C_j, and c_j = C_j / pivot_j.  Alongside, T_j and S_j
-    keep G * T_j = S_j * C_j.  Before returning this is proved in
-    integers for every column, with T upper triangular with a nonzero
-    diagonal, S nonzero and C in echelon shape, so that
-    c = g * D * T * diag(1 / (S * pivots)) is a right multiple of g by an
-    invertible upper triangular matrix.  A column that reduces to zero
-    raises Singular only once its T_j is proved a kernel vector of G.
+    content, signed so that its pivot is positive: the primitive integer
+    column C_j, and c_j = C_j / pivot_j.  Its multipliers certify
+    sigma_j * G_j = content_j * C_j + sum(u_kj * C_k for k < j), proved in
+    integers with sigma_j > 0, content_j != 0 and C in echelon shape.  So
+    G = C * U, U upper triangular with U_jj = content_j / sigma_j, and
+    c = g * D * U^-1 * diag(1 / pivots).  A zero column raises Singular
+    only once sigma_j * G_j = sum(u_kj * C_k for k < j) is proved.
 
     ``_integer_echelon`` runs the elimination and the proof; this function
     only rebuilds c as rationals from the proved integer columns.
@@ -253,11 +254,10 @@ def _clear_columns(g: Mat) -> tuple[list[list[int]], list[int]]:
     """The integer columns of G = g * D, D = diag(d_j), d_j the lcd of column j."""
     cols, scales = [], []
     for column in zip(*g):
-        dens = [x.denominator for x in column]
-        d = math.lcm(*dens)
+        ratios = [x.as_integer_ratio() for x in column]
+        d = math.lcm(*[q for _, q in ratios])
         scales.append(d)
-        cols.append([x.numerator if q == d else x.numerator * (d // q)
-                     for x, q in zip(column, dens)])
+        cols.append([a if q == d else a * (d // q) for a, q in ratios])
     return cols, scales
 
 
@@ -303,81 +303,73 @@ def _integer_echelon(g: Mat) -> tuple[list[list[int]], Perm, "Rat"]:
     """The proved integer columns C_j, their pivot rows (1-based, the
     permutation w) and the pivot product of ``column_echelon(g)``.
 
-    Raises Singular only with a proved kernel vector (``_prove_singular``).
+    Column j keeps sigma * G_j == col + sum(u[k] * C_k for k < j): reducing
+    col by C_k, col <- s * col - f * C_k (s = C_k[p_k] > 0), scales sigma
+    and u by s and sets u[k] = f.  ``_prove_column`` proves it before the
+    next column, ``_prove_singular`` (no kernel vector) before Singular.
+    The pivot product is prod(C_j[p_j] * content_j / (sigma_j * d_j)).
     """
     n = len(g)
     cols, scales = _clear_columns(g)
-    echelon: list[list[int]] = []
-    ts: list[list[int]] = []
-    ss: list[int] = []
-    pivots: list[int] = []
-    for j in range(n):
-        col = cols[j]
-        t = [0] * n
-        t[j] = 1
-        sigma = 1  # G * t == sigma * col
-        for k, p in enumerate(pivots):
+    echelon, pivots, num, den = [], [], 1, 1
+    for g_col, d in zip(cols, scales):
+        col, sigma, u = g_col, 1, [0] * len(pivots)
+        for k, (p, c_k) in enumerate(zip(pivots, echelon)):
             f = col[p]
             if f:
-                s, s_k, c_k = echelon[k][p], ss[k], echelon[k]
-                col = [s * x - f * y for x, y in zip(col, c_k)]
-                t = [s * s_k * x - f * sigma * y for x, y in zip(t, ts[k])]
-                sigma *= s_k
-        p = next((i for i in range(n - 1, -1, -1) if col[i]), None)
-        if p is None:
-            _prove_singular(cols, t, j)
+                s = c_k[p]
+                if s == 1:
+                    col = [x - f * y if y else x for x, y in zip(col, c_k)]
+                else:
+                    col = [s * x - f * y if y else s * x for x, y in zip(col, c_k)]
+                    sigma *= s
+                    u = [s * x for x in u]
+                u[k] = f
+        for p in range(n - 1, -1, -1):
+            if col[p]:
+                break
+        else:
+            _prove_singular(g_col, sigma, u, echelon)
             raise Singular("matrix is singular")
-        content = math.gcd(*col)
-        if col[p] < 0:
-            content = -content
+        content = math.gcd(*col) if col[p] > 0 else -math.gcd(*col)
         if content != 1:
             col = [x // content for x in col]
-            sigma *= content
+        _prove_column(g_col, sigma, u, echelon, pivots, col, p, content)
         echelon.append(col)
-        r = math.gcd(sigma, *t)
-        if r != 1:
-            t = [x // r for x in t]
-            sigma //= r
-        ts.append(t)
-        ss.append(sigma)
         pivots.append(p)
-    _prove_echelon(cols, echelon, ts, ss, pivots)
-    num = den = 1
-    for j, p in enumerate(pivots):
-        num *= echelon[j][p] * ss[j]
-        den *= ts[j][j] * scales[j]
+        num *= col[p] * content
+        den *= sigma * d
     return echelon, tuple(p + 1 for p in pivots), Rat(num, den)
 
 
-def _prove_echelon(cols, echelon, ts, ss, pivots) -> None:
-    """Check G * T_j == S_j * C_j, T upper triangular with a nonzero
-    diagonal, S nonzero, and C in echelon shape, all in integers."""
-    for j, (t, c, p) in enumerate(zip(ts, echelon, pivots)):
-        if not t[j] or any(t[j + 1:]) or not ss[j]:
-            raise InternalInconsistency("column echelon: T is not triangular")
-        if _combination(cols, t, j) != [ss[j] * x for x in c]:
-            raise InternalInconsistency("column echelon failed to reconstruct the input")
-        if c[p] <= 0 or any(c[p + 1:]) or any(c[q] for q in pivots[:j]):
-            raise InternalInconsistency("column echelon is not in echelon shape")
-
-
-def _prove_singular(cols, t, j) -> None:
-    """Check that t is a kernel certificate for column j of G: t[j] != 0,
-    t[k] == 0 for k > j, and G * t == 0, all in integers.  Column j is then
-    a rational combination of the columns before it, so G is singular."""
-    if not t[j] or any(t[j + 1:]):
-        raise InternalInconsistency("column echelon: kernel vector is not triangular")
-    if any(_combination(cols, t, j)):
-        raise InternalInconsistency("column echelon: kernel vector is not in the kernel")
-
-
-def _combination(cols, t, j) -> list[int]:
-    """G * t for a t with no entry below row j: the sum of t[k] * G[:, k]."""
-    acc = [0] * len(cols)
-    for k in range(j + 1):
-        if t[k]:
-            acc = [a + t[k] * x for a, x in zip(acc, cols[k])]
+def _residual(g_col, sigma, u, echelon) -> list[int]:
+    """sigma * G_j - sum(u[k] * C_k for k < j), once sigma > 0 and u has one
+    multiplier per proved column, k < j = len(echelon): U stays triangular."""
+    if sigma <= 0 or len(u) != len(echelon):
+        raise InternalInconsistency("column echelon: U is not triangular")
+    acc = g_col if sigma == 1 else [sigma * x for x in g_col]
+    for f, c_k in zip(u, echelon):
+        if f:
+            acc = [a - f * y if y else a for a, y in zip(acc, c_k)]
     return acc
+
+
+def _prove_column(g_col, sigma, u, echelon, pivots, c, p, content) -> None:
+    """Check sigma * G_j == content * C_j + sum(u[k] * C_k for k < j) with
+    content != 0 (``_residual``), and C_j = c in echelon shape: a positive
+    pivot c[p], zeros below it and zeros at the earlier pivots."""
+    if not content or _residual(g_col, sigma, u, echelon) != (
+            c if content == 1 else [content * x for x in c]):
+        raise InternalInconsistency("column echelon failed to reconstruct the input")
+    if c[p] <= 0 or any(c[p + 1:]) or any(map(c.__getitem__, pivots)):
+        raise InternalInconsistency("column echelon is not in echelon shape")
+
+
+def _prove_singular(g_col, sigma, u, echelon) -> None:
+    """Check sigma * G_j == sum(u[k] * C_k for k < j) (``_residual``): G_j
+    lies in the span of the proved C_k, k < j, which is that of G_k, k < j."""
+    if any(_residual(g_col, sigma, u, echelon)):
+        raise InternalInconsistency("column echelon: a zero column is not spanned")
 
 
 def bruhat_factor_plus(g: Mat) -> tuple[Mat, Perm]:

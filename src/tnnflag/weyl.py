@@ -265,5 +265,12 @@ def perm_to_str(w: Perm) -> str:
     return ",".join(map(str, w))
 
 
+def ascii_int(text: str) -> int:
+    """``int(text)`` for ASCII text with no '_': ``int`` reads any Unicode digit."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
 def perm_from_str(s: str) -> Perm:
-    return validate_perm([int(part) for part in s.split(",")])
+    return validate_perm([ascii_int(part) for part in s.split(",")])

@@ -350,6 +350,40 @@ class TestAudit:
         assert data["decomposition"]["failures"] == []
 
 
+class TestAsciiNumbers:
+    """Every number on the command line is ASCII, with no '_' in an integer:
+    int and Fraction would read a Unicode digit or space as its ASCII twin."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--n", "3", "--w", "\u0661,2,3", "--wp", "3,2,1", "--params", "1,1,1"],
+        ["eval", "--n", "3", "--format", "word", "--w", "s\u0661", "--wp", "s1"],
+        ["eval", "--n", "2", "--w", "1,2", "--wp", "2,1", "--params", "\u0661"],
+        ["eval", "--n", "2", "--w", "1,2", "--wp", "2,1", "--params", "\xa01"],
+        ["eval", "--n", "2", "--w", "1,2", "--wp", "2,1", "--params", "1\u2003"],
+        ["cells", "--n", "\u0663"],
+        ["audit", "--n", "2", "--samples", "1_0"],
+        ["audit", "--n", "2", "--samples", "1", "--seed", "1_0"],
+    ], ids=["perm", "word-letter", "param-digit", "param-no-break-space",
+            "param-em-space", "rank", "samples-separator", "seed-separator"])
+    def test_exit_5(self, capsys, argv):
+        code, out, err = run_err(capsys, *argv)
+        assert code == 5
+        assert out == "" and len(err.splitlines()) == 1
+
+    def test_non_ascii_matrix_entry(self, capsys, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps([["\u0661", "0"], ["0", "1"]]))
+        code, out, err = run_err(capsys, "classify", str(f))
+        assert code == 5
+        assert out == "" and err == "not an exact rational: '\u0661'\n"
+
+    def test_ascii_whitespace_stays_accepted(self, capsys):
+        code, out = run(capsys, "eval", "--n", " 2 ", "--w", "1, 2", "--wp", "2,1",
+                        "--params", " 3 ")
+        assert code == 0
+        assert json.loads(out)["params"] == ["3"]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["cells"],

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -12,7 +13,7 @@ from conftest import (
     random_sl, ref_column_echelon, ref_mat_mul, ref_rep_simple, ref_stratum,
     ref_y_mul, simple, sparse_sl, submatrix, transpose, x_product,
 )
-from tnnflag import flag, linalg, richardson, weyl
+from tnnflag import audit, flag, linalg, richardson, weyl
 from tnnflag.errors import (
     IndexOutOfRange, InternalInconsistency, NotInBigCell, RankTooLarge, ShapeMismatch,
     Singular,
@@ -395,6 +396,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             linalg.rat(value)
 
+    # Fraction reads any Unicode digit or space: an Arabic-Indic one, a
+    # no-break space and an em space
+    @pytest.mark.parametrize("value", ["\u0661", "\xa01", "1\u2003", "1/\u0662"])
+    def test_rat_rejects_non_ascii(self, value):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            linalg.rat(value)
+
     def test_rat_rejects_a_huge_exponent_at_once(self):
         # Fraction("1e10000000") alone takes seconds, and more with the exponent
         start = time.perf_counter()
@@ -634,81 +642,138 @@ class TestColumnEchelon:
                 linalg.column_echelon(g)
 
     @staticmethod
-    def _proof_state(monkeypatch, g):
-        """The integer state that column_echelon(g) hands to its proof."""
+    def _proof_states(monkeypatch, g, hook="_prove_column"):
+        """The integer state that column_echelon(g) hands to ``hook``, one
+        per call: G_j, sigma, the multipliers u and the proved columns, then
+        for ``_prove_column`` their pivots and the new column's c, p and
+        content.  Deep copies: the echelon grows after each call, and a
+        column that needed no elimination may be shared between G and C."""
         states = []
-        prove = linalg._prove_echelon
+        prove = getattr(linalg, hook)
 
         def spy(*state):
-            states.append(state)
+            states.append(copy.deepcopy(state))
             prove(*state)
 
-        monkeypatch.setattr(linalg, "_prove_echelon", spy)
-        linalg.column_echelon(g)
+        monkeypatch.setattr(linalg, hook, spy)
+        try:
+            linalg.column_echelon(g)
+        except Singular:
+            pass
         monkeypatch.undo()
-        assert len(states) == 1
-        cols, echelon, ts, ss, pivots = states[0]
-        # fresh lists: a column that needed no elimination may be shared
-        # between G and C
-        return ([list(x) for x in cols], [list(x) for x in echelon],
-                [list(x) for x in ts], list(ss), list(pivots))
+        return states
 
     @pytest.mark.parametrize("fault", [
         "t_above", "t_below", "t_diagonal", "s_scaled", "c_entry",
-        "pivot_negated", "entry_below_pivot",
+        "pivot_negated", "pivot_content_negated", "entry_below_pivot",
     ])
     def test_proof_rejects_a_broken_invariant(self, monkeypatch, fault):
+        # the proof of column j checks sigma * G_j == content * C_j +
+        # sum(u[k] * C_k for k < j), sigma > 0, content != 0 and C_j's
+        # echelon shape
         g = mat([[2, Rat(1, 3), 5], [Rat(-1, 2), 1, 0], [4, 7, Rat(1, 5)]])
-        cols, echelon, ts, ss, pivots = self._proof_state(monkeypatch, g)
-        linalg._prove_echelon(cols, echelon, ts, ss, pivots)
+        states = self._proof_states(monkeypatch, g)
+        assert len(states) == 3
+        for state in states:
+            linalg._prove_column(*state)
         j = 2
+        g_col, sigma, u, echelon, pivots, c, p, content = states[j]
         if fault == "t_above":
-            ts[j][0] += 1
+            # a multiplier off by one
+            u[0] += 1
         elif fault == "t_below":
-            ts[0][1] = 1
+            # a term on a later column: U is not triangular
+            u.append(1)
         elif fault == "t_diagonal":
-            ts[j][j] = 0
+            # a zero diagonal entry content / sigma of U
+            content = 0
         elif fault == "s_scaled":
-            ss[j] *= 2
+            sigma *= 2
         elif fault == "c_entry":
-            echelon[j][pivots[0]] += 1
+            c[pivots[0]] += 1
         elif fault == "pivot_negated":
-            # G * T == C * diag(S) still holds; the echelon shape does not
-            echelon[j] = [-x for x in echelon[j]]
-            ss[j] = -ss[j]
+            # the identity still holds; sigma > 0 and the pivot's sign do not
+            c, sigma, u = [-x for x in c], -sigma, [-x for x in u]
+        elif fault == "pivot_content_negated":
+            # the identity and sigma > 0 still hold; the pivot's sign does not
+            c, content = [-x for x in c], -content
         else:
-            k, p = next((k, p) for k, p in enumerate(pivots) if p < len(g) - 1)
-            echelon[k][p + 1] += 1
+            # an entry below a pivot, in a row that no earlier pivot holds,
+            # with G_j moved so that the identity holds
+            upper = mat([[2, Rat(1, 3), 5], [0, 1, 0], [0, 0, Rat(1, 5)]])
+            g_col, sigma, u, echelon, pivots, c, p, content = self._proof_states(
+                monkeypatch, upper)[0]
+            c[p + 1] += 1
+            g_col = [sigma * x for x in g_col]
+            g_col[p + 1] += content
+            sigma = 1
         with pytest.raises(InternalInconsistency):
-            linalg._prove_echelon(cols, echelon, ts, ss, pivots)
+            linalg._prove_column(g_col, sigma, u, echelon, pivots, c, p, content)
+
+    # column 1 is twice column 0, so it reduces to zero with a certificate
+    _SINGULAR = ((1, 2, 0), (Rat(1, 2), 1, 3), (2, 4, Rat(1, 7)))
 
     @pytest.mark.parametrize("fault", ["t_diagonal", "t_below", "not_in_kernel"])
     def test_singular_proof_rejects_a_broken_certificate(self, monkeypatch, fault):
-        # column 1 is twice column 0, so it reduces to zero with a kernel vector
-        g = mat([[1, 2, 0], [Rat(1, 2), 1, 3], [2, 4, Rat(1, 7)]])
-        states = []
+        # sigma * G_j == sum(u[k] * C_k for k < j) with sigma > 0 gives the
+        # kernel vector of G that the proved columns C_k, k < j, determine
+        states = self._proof_states(monkeypatch, mat(self._SINGULAR), "_prove_singular")
+        assert len(states) == 1
+        g_col, sigma, u, echelon = states[0]
+        assert len(echelon) == 1
+        linalg._prove_singular(g_col, sigma, u, echelon)
+        if fault == "t_diagonal":
+            # the zero certificate: 0 * G_j == 0 holds for every column
+            sigma, u = 0, [0] * len(u)
+        elif fault == "t_below":
+            u.append(1)
+        else:
+            u[0] += 1
+        with pytest.raises(InternalInconsistency):
+            linalg._prove_singular(g_col, sigma, u, echelon)
+
+    def test_a_zero_content_is_refused(self, monkeypatch):
+        # with content 0 the identity holds for any c once G_j is spanned by
+        # the earlier columns: U would have a zero on its diagonal
+        g_col, sigma, u, echelon = self._proof_states(
+            monkeypatch, mat(self._SINGULAR), "_prove_singular")[0]
+        c = [0, 1, 0]  # echelon shape next to the first column's pivot row 3
+        linalg._prove_singular(g_col, sigma, u, echelon)
+        with pytest.raises(InternalInconsistency):
+            linalg._prove_column(g_col, sigma, u, echelon, [2], c, 1, 0)
+
+    def test_a_corrupted_multiplier_on_a_zero_column_is_not_singular(self, monkeypatch):
+        # the column still reduced to zero, but its certificate is refused,
+        # so the verdict is an internal error, never Singular
         prove = linalg._prove_singular
 
-        def spy(*state):
-            states.append(state)
-            prove(*state)
+        def corrupt(g_col, sigma, u, echelon):
+            prove(g_col, sigma, [f + 1 for f in u], echelon)
 
-        monkeypatch.setattr(linalg, "_prove_singular", spy)
-        with pytest.raises(Singular):
-            linalg.column_echelon(g)
-        monkeypatch.undo()
-        assert len(states) == 1
-        cols, t, j = [list(x) for x in states[0][0]], list(states[0][1]), states[0][2]
-        assert j == 1
-        linalg._prove_singular(cols, t, j)
-        if fault == "t_diagonal":
-            t[j] = 0
-        elif fault == "t_below":
-            t[j + 1] = 1
-        else:
-            t[0] += 1
+        monkeypatch.setattr(linalg, "_prove_singular", corrupt)
         with pytest.raises(InternalInconsistency):
-            linalg._prove_singular(cols, t, j)
+            linalg.column_echelon(mat(self._SINGULAR))
+
+    def test_matches_rational_reference_on_the_walks_inputs(self, monkeypatch):
+        # every echelon that the decomposition audit runs at n = 4: charts
+        # evaluated and inverted on every cell, with their peel checks,
+        # witnesses and borel_from calls
+        inputs = []
+        echelon = linalg._integer_echelon
+
+        def record(g):
+            inputs.append(g)
+            return echelon(g)
+
+        monkeypatch.setattr(linalg, "_integer_echelon", record)
+        audit.audit_decomposition(4, 1, 1)
+        monkeypatch.undo()
+        assert len(inputs) > 2000
+        for g in inputs:
+            c_ref, w_ref, u_ref = ref_column_echelon(g)
+            c, w, pivot_product = linalg.column_echelon(g)
+            assert (c, w) == (c_ref, w_ref), g
+            assert pivot_product == math.prod(u_ref[j][j] for j in range(len(g))), g
 
     def test_faulty_elimination_is_caught(self, monkeypatch):
         # a content that does not divide the column breaks the elimination;
@@ -817,7 +882,7 @@ class TestDet:
         def refuse(*state):
             raise InternalInconsistency("proof refused")
 
-        monkeypatch.setattr(linalg, "_prove_echelon", refuse)
+        monkeypatch.setattr(linalg, "_prove_column", refuse)
         g = mat([[2, Rat(1, 3), 5], [Rat(-1, 2), 1, 0], [4, 7, Rat(1, 5)]])
         for rows, cols in (([1], [2]), ([1, 3], [2, 3]), ([1, 2, 3], [1, 2, 3])):
             with pytest.raises(InternalInconsistency):

@@ -343,3 +343,12 @@ class TestSerialization:
     def test_perm_roundtrip(self):
         assert weyl.perm_from_str("2,3,1") == (2, 3, 1)
         assert weyl.perm_to_str((2, 3, 1)) == "2,3,1"
+
+    def test_perm_entries_with_ascii_whitespace(self):
+        assert weyl.perm_from_str(" 2, 3 ,1\n") == (2, 3, 1)
+
+    # int reads any Unicode digit or space, and '_' between digits
+    @pytest.mark.parametrize("text", ["\u0661,2,3", "2,\xa01,3", "1,2,3\u2003", "1_0,2"])
+    def test_perm_entries_are_ascii_integers(self, text):
+        with pytest.raises(ValueError, match="not an ASCII integer"):
+            weyl.perm_from_str(text)
